@@ -31,7 +31,6 @@ from .errors import (
 from .functor import (
     FaithfulnessWitness,
     FullnessReport,
-    FunctorWitness,
     LawReport,
     SubgroupCategory,
     check_full,
@@ -51,8 +50,6 @@ from .groups import (
     enumerate_subgroups,
     group_from_name,
     identity_hom,
-    inverse,
-    mul,
     trivial_hom,
     validate_hom,
 )
@@ -62,6 +59,7 @@ from .plesken import (
     PleskenElement,
     bracket_expansion_check,
     canonical_basis,
+    compose_hat_maps,
     embed,
     hat,
     heisenberg_hat_closed_form,

@@ -126,15 +126,11 @@ def _run_plesken(args) -> tuple[dict, int]:
         payload["basis"] = [G.labels[g] for g in basis.reps]
     if args.what == "sc":
         table = structure_constants(basis)
-        entries = []
-        for k in range(basis.dimension):
-            for l in range(k + 1, basis.dimension):
-                for m in range(basis.dimension):
-                    c = table[k][l][m]
-                    if c:
-                        entries.append(
-                            {"k": k, "l": l, "m": m, "re": str(c.re), "im": str(c.im)}
-                        )
+        entries = [
+            {"k": k, "l": l, "m": m, "re": str(c), "im": "0"}
+            for (k, l), row in sorted(table.items())
+            for m, c in row.items()
+        ]
         payload["sc"] = entries
     return payload, EXIT_OK
 
@@ -154,6 +150,7 @@ def _run_homs(args) -> tuple[dict, int]:
 
 def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dict:
     rng = Random(seed)
+    basis = canonical_basis(G)
     linear_ok = True
     in_span_ok = True
     for _ in range(samples):
@@ -166,7 +163,7 @@ def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dic
         if lhs != rhs:
             linear_ok = False
         try:
-            reduce(object_map(x, convention))
+            reduce(object_map(x, convention), basis)
         except PleskenLabError:
             in_span_ok = False
     return {

@@ -9,16 +9,19 @@ induced maps, and exhibit pairs of distinct morphisms with equal images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import AlgebraElement, BarLift, Scalar, ZERO, lift_hom_bar
-from .groups import (
-    FiniteGroup,
-    compose_homs,
-    enumerate_homs,
-    enumerate_subgroups,
-    identity_hom,
+from .algebra import AlgebraElement, BarLift, Scalar, ZERO
+from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
+from .plesken import (
+    HatLift,
+    HatMap,
+    PleskenBasis,
+    canonical_basis,
+    compose_hat_maps,
+    hat_map,
+    lift_hom_hat,
 )
-from .plesken import HatLift, PleskenBasis, canonical_basis, lift_hom_hat
 
 CONVENTIONS = ("literal", "pairwise")
 
@@ -56,20 +59,37 @@ def morphism_map(fbar: BarLift) -> HatLift:
 
 @dataclass
 class SubgroupCategory:
-    """Subgroups of an ambient group with all induced bar lifts as morphisms."""
+    """Subgroups of an ambient group, one hat basis each, and every hom between them.
+
+    The homs come validated from enumerate_homs and are trusted from then on.
+    """
 
     ambient: FiniteGroup
     objects: tuple[FiniteGroup, ...]
-    homsets: dict[tuple[int, int], tuple[BarLift, ...]]
+    bases: tuple[PleskenBasis, ...]
+    homsets: dict[tuple[int, int], tuple[GroupHom, ...]]
+
+    @cached_property
+    def lifts(self) -> dict[tuple[int, int], dict[tuple[int, ...], HatLift]]:
+        """Hat lift of every morphism, keyed by object pair, then by image table."""
+        lifts = {}
+        for (i, j), homset in self.homsets.items():
+            src, dst = self.bases[i], self.bases[j]
+            lifts[(i, j)] = {
+                f.image: HatLift(f, src, dst, hat_map(f.image, src, dst)) for f in homset
+            }
+        return lifts
 
 
 def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
     objects = tuple(enumerate_subgroups(ambient))
-    homsets: dict[tuple[int, int], tuple[BarLift, ...]] = {}
-    for i, Gi in enumerate(objects):
-        for j, Gj in enumerate(objects):
-            homsets[(i, j)] = tuple(lift_hom_bar(f) for f in enumerate_homs(Gi, Gj))
-    return SubgroupCategory(ambient, objects, homsets)
+    bases = tuple(canonical_basis(obj) for obj in objects)
+    homsets = {
+        (i, j): tuple(enumerate_homs(Gi, Gj))
+        for i, Gi in enumerate(objects)
+        for j, Gj in enumerate(objects)
+    }
+    return SubgroupCategory(ambient, objects, bases, homsets)
 
 
 @dataclass(frozen=True)
@@ -98,42 +118,36 @@ class LawReport:
 
 
 def check_functor_laws(category: SubgroupCategory) -> LawReport:
-    """Exhaustively verify the identity and composition laws on all homsets."""
-    lifts = {
-        key: tuple(morphism_map(f) for f in homset)
-        for key, homset in category.homsets.items()
-    }
+    """Exhaustively verify the identity and composition laws on all homsets.
+
+    For each composable pair the composite image table must itself be a
+    morphism of the category, and its lift must equal the composite of the
+    two integer hat maps.
+    """
+    lifts = category.lifts
     identity_results = []
     for i, obj in enumerate(category.objects):
-        ident_image = identity_hom(obj).image
-        ok = False
-        for fbar, hlift in zip(category.homsets[(i, i)], lifts[(i, i)]):
-            if fbar.hom.image == ident_image:
-                ok = hlift.is_identity_map()
-                break
+        ident = lifts[(i, i)].get(identity_hom(obj).image)
+        ok = ident is not None and ident.is_identity_map()
         identity_results.append(IdentityLawResult(i, ok))
     composition_results = []
     n = len(category.objects)
     for i in range(n):
         for j in range(n):
-            first = list(zip(category.homsets[(i, j)], lifts[(i, j)]))
+            first = lifts[(i, j)]
             for k in range(n):
-                second = list(zip(category.homsets[(j, k)], lifts[(j, k)]))
-                pairs = 0
+                second = lifts[(j, k)]
+                composites = lifts[(i, k)]
                 ok = True
-                for f1, h1 in first:
-                    for f2, h2 in second:
-                        pairs += 1
-                        composed = morphism_map(
-                            lift_hom_bar(compose_homs(f2.hom, f1.hom))
-                        )
-                        dim = composed.domain_basis.dimension
-                        if any(
-                            composed.action[m] != h2(h1.action[m]) for m in range(dim)
+                for image1, lift1 in first.items():
+                    for image2, lift2 in second.items():
+                        composite = composites.get(tuple(map(image2.__getitem__, image1)))
+                        if composite is None or composite.action != compose_hat_maps(
+                            lift1.action, lift2.action
                         ):
                             ok = False
                 composition_results.append(
-                    CompositionLawResult(i, j, k, pairs, ok)
+                    CompositionLawResult(i, j, k, len(first) * len(second), ok)
                 )
     return LawReport(tuple(identity_results), tuple(composition_results))
 
@@ -161,22 +175,15 @@ class FullnessReport:
 
 
 def check_full(category: SubgroupCategory) -> FullnessReport:
-    """For every object pair, match each induced hat lift to an explicit preimage."""
+    """For every object pair, count the distinct hat lifts and those with a preimage.
+
+    Every distinct lift is collected from some morphism of the homset, so
+    ``witnessed`` equals ``distinct_images`` by construction.
+    """
     results = []
-    for (i, j), homset in sorted(category.homsets.items()):
-        lifts = [morphism_map(f) for f in homset]
-        distinct: list[HatLift] = []
-        for h in lifts:
-            if not any(h == d for d in distinct):
-                distinct.append(h)
-        witnessed = sum(
-            1
-            for target in distinct
-            if any(morphism_map(f) == target for f in homset)
-        )
-        results.append(
-            FullnessPairResult(i, j, len(homset), len(distinct), witnessed)
-        )
+    for (i, j), homset in sorted(category.lifts.items()):
+        distinct = {lift.action for lift in homset.values()}
+        results.append(FullnessPairResult(i, j, len(homset), len(distinct), len(distinct)))
     return FullnessReport(tuple(results))
 
 
@@ -195,45 +202,13 @@ def find_faithfulness_counterexample(
 ) -> list[FaithfulnessWitness]:
     """All pairs of distinct morphisms that collapse to the same hat lift."""
     out: list[FaithfulnessWitness] = []
-    for (i, j), homset in sorted(category.homsets.items()):
-        lifts = [morphism_map(f) for f in homset]
-        for a in range(len(homset)):
-            for b in range(a + 1, len(homset)):
-                if homset[a].hom.image != homset[b].hom.image and lifts[a] == lifts[b]:
-                    out.append(
-                        FaithfulnessWitness(
-                            i, j, homset[a].hom.image, homset[b].hom.image
-                        )
-                    )
+    for (i, j), homset in sorted(category.lifts.items()):
+        classes: dict[HatMap, list[tuple[int, ...]]] = {}
+        for image, lift in homset.items():
+            classes.setdefault(lift.action, []).append(image)
+        for images in classes.values():
+            for a, image_a in enumerate(images):
+                for image_b in images[a + 1 :]:
+                    out.append(FaithfulnessWitness(i, j, image_a, image_b))
     out.sort(key=lambda w: (w.source, w.target, w.image_a, w.image_b))
     return out
-
-
-@dataclass
-class FunctorWitness:
-    """Complete record of the object map, morphism map, and verified laws."""
-
-    category: SubgroupCategory
-    object_bases: tuple[PleskenBasis, ...]
-    morphism_images: dict[tuple[int, int], tuple[HatLift, ...]]
-    law_report: LawReport
-    fullness_report: FullnessReport
-    faithfulness_counterexamples: tuple[FaithfulnessWitness, ...]
-
-    @classmethod
-    def build(cls, category: SubgroupCategory) -> "FunctorWitness":
-        bases = tuple(canonical_basis(obj) for obj in category.objects)
-        images = {
-            key: tuple(morphism_map(f) for f in homset)
-            for key, homset in category.homsets.items()
-        }
-        return cls(
-            category=category,
-            object_bases=bases,
-            morphism_images=images,
-            law_report=check_functor_laws(category),
-            fullness_report=check_full(category),
-            faithfulness_counterexamples=tuple(
-                find_faithfulness_counterexample(category)
-            ),
-        )

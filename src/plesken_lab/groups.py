@@ -198,14 +198,6 @@ class FiniteGroup:
         return f"FiniteGroup({name})"
 
 
-def mul(G: FiniteGroup, x: int, y: int) -> int:
-    return G.mul(x, y)
-
-
-def inverse(G: FiniteGroup, x: int) -> int:
-    return G.inverse(x)
-
-
 # ---------------------------------------------------------------------------
 # built-in families
 

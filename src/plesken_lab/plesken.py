@@ -7,6 +7,8 @@ coordinates over a canonical choice of hat representatives.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .algebra import AlgebraElement, ONE, Scalar, ZERO, lie_bracket
 from .errors import (
     BasisMismatch,
@@ -205,69 +207,87 @@ def bracket_expansion_check(G: FiniteGroup, g: int, h: int) -> bool:
     return lhs == rhs
 
 
-def structure_constants(B: PleskenBasis) -> list[list[list[Scalar]]]:
-    """Table c[k][l][m] with [e_k, e_l] = sum_m c[k][l][m] e_m; antisymmetric in (k, l)."""
-    d = B.dimension
-    table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        for l in range(k + 1, d):
-            br = plesken_bracket(PleskenElement.unit(B, k), PleskenElement.unit(B, l))
-            for m, c in br.coords.items():
-                table[k][l][m] = c
-                table[l][k][m] = -c
+def structure_constants(B: PleskenBasis) -> dict[tuple[int, int], dict[int, int]]:
+    """Sparse table {(k, l): {m: c}}, k < l, with [e_k, e_l] = sum_m c e_m.
+
+    Read straight from [g^, h^] = (gh)^ - (gh^{-1})^ - (g^{-1}h)^ + (g^{-1}h^{-1})^:
+    each product is a signed basis hat or zero.  Only nonzero brackets and
+    entries are stored; [e_l, e_k] is the negative and [e_k, e_k] is zero.
+    """
+    t, inv, position = B.group.cayley, B.group.inv, B.position
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    for k, g in enumerate(B.reps):
+        gi = inv[g]
+        for l in range(k + 1, B.dimension):
+            h = B.reps[l]
+            hi = inv[h]
+            acc: dict[int, int] = {}
+            for p, sign in ((t[g][h], 1), (t[g][hi], -1), (t[gi][h], -1), (t[gi][hi], 1)):
+                pos = position(p)
+                if pos is not None:
+                    acc[pos[0]] = acc.get(pos[0], 0) + sign * pos[1]
+            entries = {m: c for m, c in sorted(acc.items()) if c}
+            if entries:
+                table[(k, l)] = entries
     return table
 
 
-class HatLift:
-    """Induced map between hat-span Lie algebras, stored by its action on basis hats.
+HatMap = tuple[tuple[int, int] | None, ...]
 
-    Two lifts are equal exactly when they agree on every basis hat of the
-    domain, regardless of which group homomorphism produced them.
+
+def hat_map(image, domain_basis: PleskenBasis, codomain_basis: PleskenBasis) -> HatMap:
+    """Integer form of a hat lift: entry k is (m, +-1) when the k-th basis hat
+    goes to +-e_m, None when it goes to zero; ``image`` is the hom's image table."""
+    position = codomain_basis.position
+    return tuple(position(image[g]) for g in domain_basis.reps)
+
+
+def compose_hat_maps(first: HatMap, second: HatMap) -> HatMap:
+    """The integer map of ``second`` after ``first``."""
+    out = []
+    for entry in first:
+        if entry is not None:
+            m, s = entry
+            entry = second[m]
+            if entry is not None and s < 0:
+                entry = (entry[0], -entry[1])
+        out.append(entry)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class HatLift:
+    """Induced map between hat-span Lie algebras, stored as its integer hat map.
+
+    ``action[k]`` is (m, +-1) when the k-th domain basis hat goes to +-e_m in
+    the codomain basis and None when it goes to zero (see ``hat_map``).  Two
+    lifts are equal exactly when their bases and actions agree, regardless
+    of which group homomorphism produced them.
     """
 
-    __slots__ = ("hom", "domain_basis", "codomain_basis", "action")
-
-    def __init__(
-        self,
-        hom: GroupHom,
-        domain_basis: PleskenBasis,
-        codomain_basis: PleskenBasis,
-        action: tuple[PleskenElement, ...],
-    ) -> None:
-        self.hom = hom
-        self.domain_basis = domain_basis
-        self.codomain_basis = codomain_basis
-        self.action = action
+    hom: GroupHom = field(compare=False)
+    domain_basis: PleskenBasis
+    codomain_basis: PleskenBasis
+    action: HatMap
 
     def __call__(self, x: PleskenElement) -> PleskenElement:
         if x.basis != self.domain_basis:
             raise BasisMismatch("element does not live in the lift's domain")
-        out = PleskenElement.zero(self.codomain_basis)
+        acc: dict[int, Scalar] = {}
         for k, c in x.coords.items():
-            out = out + c * self.action[k]
-        return out
+            entry = self.action[k]
+            if entry is not None:
+                m, s = entry
+                acc[m] = acc.get(m, ZERO) + (c if s > 0 else -c)
+        return PleskenElement(self.codomain_basis, acc)
 
     def is_zero_map(self) -> bool:
-        return all(v.is_zero() for v in self.action)
+        return all(entry is None for entry in self.action)
 
     def is_identity_map(self) -> bool:
         if self.domain_basis != self.codomain_basis:
             return False
-        return all(
-            self.action[k] == PleskenElement.unit(self.domain_basis, k)
-            for k in range(self.domain_basis.dimension)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HatLift):
-            return NotImplemented
-        return (
-            self.domain_basis == other.domain_basis
-            and self.codomain_basis == other.codomain_basis
-            and self.action == other.action
-        )
-
-    __hash__ = None
+        return all(entry == (k, 1) for k, entry in enumerate(self.action))
 
     def __repr__(self) -> str:
         return (
@@ -282,9 +302,7 @@ def lift_hom_hat(f: GroupHom) -> HatLift:
         raise InvalidHom("image table is not a group homomorphism")
     domain_basis = canonical_basis(f.domain)
     codomain_basis = canonical_basis(f.codomain)
-    action = tuple(
-        reduce(hat(f.codomain, f.image[g]), codomain_basis) for g in domain_basis.reps
-    )
+    action = hat_map(f.image, domain_basis, codomain_basis)
     return HatLift(f, domain_basis, codomain_basis, action)
 
 

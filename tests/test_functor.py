@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from plesken_lab import (
     AlgebraElement,
-    FunctorWitness,
+    HatLift,
     check_full,
     check_functor_laws,
+    compose_hat_maps,
     compose_homs,
     enumerate_homs,
     find_faithfulness_counterexample,
+    group_from_name,
     identity_hom,
     lift_hom_bar,
+    lift_hom_hat,
     morphism_map,
     object_map,
     parse_element,
@@ -70,37 +74,89 @@ def test_morphism_map_identity_and_trivial(catalog):
 
 
 def test_morphism_map_respects_composition_chains(catalog):
-    C3 = catalog["C3"]
-    homs = enumerate_homs(C3, C3)
-    for f1 in homs:
-        for f2 in homs:
-            lhs = morphism_map(lift_hom_bar(compose_homs(f2, f1)))
-            h1, h2 = morphism_map(lift_hom_bar(f1)), morphism_map(lift_hom_bar(f2))
-            for m in range(lhs.domain_basis.dimension):
-                assert lhs.action[m] == h2(h1.action[m])
+    for G, H, K in (("C3", "C3", "C3"), ("S3", "C6", "C3"), ("C6", "S3", "S3")):
+        G, H, K = catalog[G], catalog[H], catalog[K]
+        for f1 in enumerate_homs(G, H):
+            h1 = morphism_map(lift_hom_bar(f1))
+            for f2 in enumerate_homs(H, K):
+                h2 = morphism_map(lift_hom_bar(f2))
+                composite = morphism_map(lift_hom_bar(compose_homs(f2, f1)))
+                assert composite.action == compose_hat_maps(h1.action, h2.action)
 
 
 def test_subgroup_category_invariants(catalog):
     C = subgroup_category(catalog["S3"])
     n = len(C.objects)
+    assert [b.group for b in C.bases] == list(C.objects)
     for i, obj in enumerate(C.objects):
-        images = [f.hom.image for f in C.homsets[(i, i)]]
+        images = [f.image for f in C.homsets[(i, i)]]
         assert identity_hom(obj).image in images
+    assert set(C.lifts) == set(C.homsets)
+    for (i, j), homset in C.homsets.items():
+        assert list(C.lifts[(i, j)]) == [f.image for f in homset]
+        for f in homset:
+            assert C.lifts[(i, j)][f.image] == lift_hom_hat(f)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                available = {f.hom.image for f in C.homsets[(i, k)]}
+                available = {f.image for f in C.homsets[(i, k)]}
                 for f1 in C.homsets[(i, j)]:
                     for f2 in C.homsets[(j, k)]:
-                        assert compose_homs(f2.hom, f1.hom).image in available
+                        assert compose_homs(f2, f1).image in available
 
 
-@pytest.mark.parametrize("spec", ["C3", "K4", "S3"])
+@pytest.mark.parametrize("spec", ["C3", "K4", "S3", "D4", "D6"])
 def test_functor_laws_hold(catalog, spec):
-    report = check_functor_laws(subgroup_category(catalog[spec]))
+    G = catalog[spec] if spec in catalog else group_from_name(spec)
+    report = check_functor_laws(subgroup_category(G))
     assert report.all_hold
     assert all(r.ok for r in report.identity)
     assert all(r.ok for r in report.composition)
+
+
+def _top_automorphism(C):
+    """Index of the whole group among the objects and a non-identity automorphism."""
+    top = len(C.objects) - 1
+    ident = identity_hom(C.objects[top]).image
+    autos = [f for f in C.homsets[(top, top)] if len(set(f.image)) == len(ident)]
+    return top, next(f for f in autos if f.image != ident)
+
+
+def test_functor_laws_fail_when_a_composite_is_missing(catalog):
+    C = subgroup_category(catalog["S3"])
+    top, auto = _top_automorphism(C)
+    homsets = dict(C.homsets)
+    homsets[(top, top)] = tuple(f for f in homsets[(top, top)] if f != auto)
+    report = check_functor_laws(replace(C, homsets=homsets))
+    assert not report.all_hold
+    assert all(r.ok for r in report.identity)
+    assert not next(
+        r for r in report.composition if (r.source, r.middle, r.target) == (top, top, top)
+    ).ok
+
+
+def test_functor_laws_fail_on_a_corrupted_lift(catalog):
+    C = subgroup_category(catalog["S3"])
+    top, auto = _top_automorphism(C)
+    lift = C.lifts[(top, top)][auto.image]
+    flipped = tuple(None if e is None else (e[0], -e[1]) for e in lift.action)
+    assert flipped != lift.action
+    C.lifts[(top, top)][auto.image] = HatLift(
+        auto, lift.domain_basis, lift.codomain_basis, flipped
+    )
+    report = check_functor_laws(C)
+    assert not report.all_hold
+    assert all(r.ok for r in report.identity)
+    assert not all(r.ok for r in report.composition)
+
+    C = subgroup_category(catalog["S3"])
+    ident = C.lifts[(top, top)][identity_hom(C.objects[top]).image]
+    C.lifts[(top, top)][ident.hom.image] = HatLift(
+        ident.hom, ident.domain_basis, ident.codomain_basis, (None,) * len(ident.action)
+    )
+    report = check_functor_laws(C)
+    assert not report.identity[top].ok
+    assert not report.all_hold
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])
@@ -126,6 +182,7 @@ def test_k4_witness_contains_identity_vs_trivial(catalog):
     assert witnesses
     k4_index = len(C.objects) - 1
     assert C.objects[k4_index].order == 4
+    assert all(b.dimension == 0 for b in C.bases)
     found = [
         w
         for w in witnesses
@@ -153,13 +210,3 @@ def test_witnesses_are_sorted(catalog):
     keys = [(w.source, w.target, w.image_a, w.image_b) for w in witnesses]
     assert keys == sorted(keys)
     assert all(w.image_a < w.image_b for w in witnesses)
-
-
-def test_functor_witness_build(catalog):
-    C = subgroup_category(catalog["K4"])
-    witness = FunctorWitness.build(C)
-    assert witness.law_report.all_hold
-    assert witness.fullness_report.all_full
-    assert all(b.dimension == 0 for b in witness.object_bases)
-    assert witness.faithfulness_counterexamples
-    assert set(witness.morphism_images) == set(C.homsets)

@@ -165,52 +165,52 @@ def test_bracket_closure_never_leaves_span(catalog):
 
 
 def test_structure_constants_small_cases(catalog):
-    assert structure_constants(canonical_basis(catalog["K4"])) == []
-    table = structure_constants(canonical_basis(catalog["S3"]))
-    assert table == [[[ZERO]]]
+    assert structure_constants(canonical_basis(catalog["K4"])) == {}
+    assert structure_constants(canonical_basis(catalog["S3"])) == {}
+    assert structure_constants(canonical_basis(catalog["C6"])) == {}
 
 
-def _sparse_sc(table):
-    d = len(table)
-    return {
-        (k, l): {m: table[k][l][m] for m in range(d) if table[k][l][m]}
-        for k in range(d)
-        for l in range(d)
-    }
+def _bracket_coords(sc, a, b):
+    """[e_a, e_b] from the k < l table: antisymmetry gives the rest."""
+    if a < b:
+        return sc.get((a, b), {})
+    return {m: -c for m, c in sc.get((b, a), {}).items()}
 
 
 def test_structure_constants_h3_antisymmetry_and_jacobi(catalog):
     basis = canonical_basis(catalog["H3"])
-    table = structure_constants(basis)
+    sc = structure_constants(basis)
     d = basis.dimension
-    sc = _sparse_sc(table)
-    for k in range(d):
-        for l in range(d):
-            for m in range(d):
-                assert table[k][l][m] == -table[l][k][m]
+    assert sc
+    assert all(k < l for (k, l) in sc)
+    for row in sc.values():
+        assert all(isinstance(c, int) and c and 0 <= m < d for m, c in row.items())
     for k in range(d):
         for l in range(d):
             for q in range(d):
-                acc: dict[int, Scalar] = {}
+                acc: dict[int, int] = {}
                 for (a, b, c) in ((k, l, q), (l, q, k), (q, k, l)):
-                    for m, c1 in sc[(a, b)].items():
-                        for r, c2 in sc[(m, c)].items():
-                            acc[r] = acc.get(r, ZERO) + c1 * c2
+                    for m, c1 in _bracket_coords(sc, a, b).items():
+                        for r, c2 in _bracket_coords(sc, m, c).items():
+                            acc[r] = acc.get(r, 0) + c1 * c2
                 assert all(not v for v in acc.values())
 
 
 def test_structure_constants_reproduce_brackets(catalog):
-    basis = canonical_basis(catalog["D4"])
-    table = structure_constants(basis)
-    d = basis.dimension
-    for k in range(d):
-        for l in range(d):
-            br = plesken_bracket(
-                PleskenElement.unit(basis, k), PleskenElement.unit(basis, l)
-            )
-            assert br == PleskenElement(
-                basis, {m: table[k][l][m] for m in range(d)}
-            )
+    for G in catalog.values():
+        basis = canonical_basis(G)
+        sc = structure_constants(basis)
+        assert all(k < l for (k, l) in sc)
+        d = basis.dimension
+        for k in range(d):
+            for l in range(k + 1, d):
+                br = plesken_bracket(
+                    PleskenElement.unit(basis, k), PleskenElement.unit(basis, l)
+                )
+                assert br == PleskenElement(basis, sc.get((k, l), {})), (G, k, l)
+                assert ((k, l) in sc) == (not br.is_zero())
+    assert canonical_basis(catalog["H3"]).dimension == 13
+    assert canonical_basis(catalog["S4"]).dimension == 7
 
 
 def test_hat_lift_identity_trivial_and_zero_target(catalog):
@@ -245,12 +245,22 @@ def _random_span_element(G, rng):
     return object_map(random_element(G, rng))
 
 
-def test_hat_lift_action_matches_pushed_hats(catalog):
-    S3, C6 = catalog["S3"], catalog["C6"]
-    for f in enumerate_homs(S3, C6):
-        lift = lift_hom_hat(f)
-        for k, g in enumerate(lift.domain_basis.reps):
-            assert embed(lift.action[k]) == hat(C6, f.image[g])
+def test_hat_lift_action_matches_pushed_hats(small_catalog):
+    groups = list(small_catalog.values())
+    for G in groups:
+        for H in groups:
+            codomain_basis = canonical_basis(H)
+            for f in enumerate_homs(G, H):
+                lift = lift_hom_hat(f)
+                assert lift.codomain_basis == codomain_basis
+                for k, g in enumerate(lift.domain_basis.reps):
+                    pushed = reduce(hat(H, f.image[g]), codomain_basis)
+                    if pushed.is_zero():
+                        assert lift.action[k] is None
+                    else:
+                        m, sign = lift.action[k]
+                        unit = PleskenElement.unit(codomain_basis, m, Scalar.of(sign))
+                        assert pushed == unit
 
 
 def test_closed_form_examples():
