@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -147,12 +149,21 @@ def test_enumerate_homs_counts(catalog, dom, cod, count):
 
 
 @pytest.mark.parametrize("dom,cod", [
-    ("C3", "C3"), ("K4", "C3"), ("C2", "K4"), ("S3", "S3"), ("C6", "C6")
+    ("C3", "C3"), ("K4", "C3"), ("C2", "K4"), ("S3", "S3"), ("C6", "C6"),
+    ("S3", "C6"), ("C6", "S3"), ("D4", "K4"),
 ])
 def test_enumerate_homs_exhaustive_against_map_search(catalog, dom, cod):
     G, H = catalog[dom], catalog[cod]
     found = {f.image for f in enumerate_homs(G, H)}
     assert found == set(all_hom_tables(G, H))
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("S4", [9, 1]), ("S5", [27, 6]), ("S6", [27, 126]), ("H7", [1, 49]),
+])
+def test_stored_generating_sets(spec, gens):
+    # the greedy choice fixes the HOM_SEARCH_LIMIT outcome of every hom search
+    assert list(group_from_name(spec).generators) == gens
 
 
 def test_hom_search_guard(catalog, monkeypatch):
@@ -212,9 +223,35 @@ def test_subgroup_order_guard():
         enumerate_subgroups(D33)
 
 
+def _cyclic_with_swapped_intercalate(n: int) -> list[list[int]]:
+    """C_n's addition table with rows 1, n/2+1 and columns 2, n/2+2 swapped.
+
+    Still a latin square with identity 0 and inverses, but (1*2)*1 != 1*(2*1).
+    """
+    h = n // 2
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    t[1][2], t[1][h + 2] = t[1][h + 2], t[1][2]
+    t[h + 1][2], t[h + 1][h + 2] = t[h + 1][h + 2], t[h + 1][2]
+    return t
+
+
 def test_direct_table_construction_rejects_bad_tables():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="permutation"):
         FiniteGroup([[0, 1], [1, 1]])  # repeated entry in a row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-sided identity"):
         # latin square with a left identity only, so no two-sided identity
         FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    with pytest.raises(ValueError, match="square"):
+        FiniteGroup([[0, 1, 2], [1, 2], [2, 0, 1]])  # ragged row
+    with pytest.raises(ValueError, match="permutation"):
+        FiniteGroup([[0, 1, 2], [1, 2, 3], [2, 0, 1]])  # entry out of range
+    for n in (8, 600):  # the check must be exact at small and large orders
+        t = _cyclic_with_swapped_intercalate(n)
+        assert t[t[1][2]][1] != t[1][t[2][1]]
+        with pytest.raises(ValueError, match=r"associativity fails.*x=1, g=1, y=1"):
+            FiniteGroup(t)
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, plesken_lab; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
