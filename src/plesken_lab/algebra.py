@@ -322,7 +322,7 @@ def _parse_coefficient(text: str) -> Scalar:
     m = _COEFF_RE.fullmatch(t)
     if m is None or (m.group("rat") is None and m.group("imag") is None):
         raise ParseError(f"cannot parse coefficient {text!r}")
-    q = Fraction(m.group("rat")) if m.group("rat") is not None else Fraction(1)
+    q = parse_fraction(m.group("rat")) if m.group("rat") is not None else Fraction(1)
     if m.group("imag"):
         return Scalar(Fraction(0), q)
     return Scalar(q)

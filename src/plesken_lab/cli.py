@@ -8,8 +8,8 @@ for fixed arguments; text mode is human-oriented and not schema-stable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 
 from .algebra import (
@@ -279,9 +279,47 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
     return lines
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per container.
+
+    ``json`` never uses its C encoder when ``indent`` is set, and its Python
+    encoder yields one small string per token.  Only ``dict`` with ``str``
+    keys, ``list``, ``str``, ``int``, ``bool`` and ``None`` are written; any
+    other type, ``float`` included, raises ``TypeError`` (for a key, from
+    ``encode_basestring_ascii``).
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            parts = map(int.__repr__, value)
+        else:
+            parts = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if kind is not dict:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not value:
+        return "{}"
+    parts = []
+    for k in sorted(value):
+        v = value[k]
+        t = type(v)
+        text = _quote(v) if t is str else int.__repr__(v) if t is int else _json_text(v, inner)
+        parts.append(_quote(k) + ": " + text)
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         print(_format_text(report))
 

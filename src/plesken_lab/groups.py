@@ -22,6 +22,7 @@ from .errors import (
 
 SUBGROUP_ORDER_LIMIT = 64
 HOM_SEARCH_LIMIT = 10**7
+GROUP_ORDER_LIMIT = 2048  # a table holds order**2 entries
 
 _SPEC_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral", "H": "heisenberg"}
 _KIND_LETTERS = {v: k for k, v in _SPEC_KINDS.items()}
@@ -199,8 +200,33 @@ class FiniteGroup:
 # built-in families
 
 
+def _check_group_order(spec: GroupSpec) -> None:
+    """Raise ``SearchTooLarge`` if ``spec`` names a group above ``GROUP_ORDER_LIMIT``.
+
+    Works from the spec alone; for ``S<n>`` it multiplies ``n!`` out only
+    until the limit is passed.
+    """
+    n = spec.param
+    if spec.kind == "symmetric":
+        order = 1
+        for k in range(2, n + 1):
+            order *= k
+            if order > GROUP_ORDER_LIMIT:
+                break
+    elif spec.kind == "klein4":
+        order = 4
+    else:
+        order = {"cyclic": n, "dihedral": 2 * n, "heisenberg": n**3}[spec.kind]
+    if order > GROUP_ORDER_LIMIT:
+        shown = f"{n}!" if spec.kind == "symmetric" else order
+        raise SearchTooLarge(
+            f"group {spec} has order {shown}, above the limit {GROUP_ORDER_LIMIT}"
+        )
+
+
 def build_group(spec: GroupSpec) -> FiniteGroup:
     """Construct and validate the group named by ``spec``."""
+    _check_group_order(spec)
     builder = {
         "cyclic": _cyclic_group,
         "symmetric": _symmetric_group,
@@ -278,9 +304,23 @@ def _symmetric_group(spec: GroupSpec) -> FiniteGroup:
     n = spec.param
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    cayley = [
-        [index[tuple(px[py[i]] for i in range(n))] for py in perms] for px in perms
-    ]
+    # Rows of the generators (12) and (12...n) by composing permutations; every
+    # other row by right multiplication: row(x*s) = row(x)[row(s)], x*s = row(x)[s].
+    generators = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    gen_rows = {
+        index[s]: tuple(index[tuple(map(s.__getitem__, py))] for py in perms)
+        for s in generators
+    }
+    rows = {0: tuple(range(len(perms)))}
+    stack = [0]
+    while stack:
+        row_x = rows[stack.pop()]
+        for s, row_s in gen_rows.items():
+            xs = row_x[s]
+            if xs not in rows:
+                rows[xs] = tuple(map(row_x.__getitem__, row_s))
+                stack.append(xs)
+    cayley = [rows[x] for x in range(len(perms))]
     labels = [_cycle_label(p) for p in perms]
     return FiniteGroup(cayley, labels, spec)
 

@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import plesken_lab.groups as groups
 from plesken_lab import element_to_json, group_from_name, lie_bracket, parse_element
-from plesken_lab.cli import main
+from plesken_lab.cli import _json_text, main
+from test_acceptance import ACCEPTANCE_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +130,7 @@ def test_functor_full_c6(capsys):
     ("group", "H4"),
     ("bracket", "C3", "e+q", "a"),
     ("bracket", "C3", "e+", "a"),
+    ("bracket", "S3", "1/0*e", "e"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, report = run_json(capsys, *argv)
@@ -140,6 +145,21 @@ def test_guard_exit_3(capsys):
     assert report["exit_code"] == 3
 
 
+@pytest.mark.parametrize("spec,order", [
+    ("S8", "8!"), ("C100000", "100000"), ("H101", "1030301"),
+])
+def test_group_order_guard_exits_3_before_building(capsys, monkeypatch, spec, order):
+    def refuse(built):
+        raise AssertionError(f"{built} was built")
+
+    for builder in ("_cyclic_group", "_symmetric_group", "_heisenberg_group"):
+        monkeypatch.setattr(groups, builder, refuse)
+    code, report = run_json(capsys, "group", spec)
+    assert code == 3 == report["exit_code"]
+    assert f"group {spec} has order {order}," in report["error"]
+    assert "payload" not in report
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "functor", "check", "--ambient", "S3")
     _, second = run_cli(capsys, "functor", "check", "--ambient", "S3")
@@ -147,14 +167,49 @@ def test_output_is_deterministic(capsys):
 
 
 def test_json_round_trips_through_schema(capsys):
-    for argv in (
-        ("group", "S3"),
-        ("plesken", "H3", "sc"),
-        ("functor", "counterexample", "--ambient", "K4"),
+    for argv in ACCEPTANCE_COMMANDS + (
+        ("group", "\u03a33"),  # error report with a non-ASCII spec
+        ("plesken", "H5", "sc"),
     ):
         _, out = run_cli(capsys, *argv)
         parsed = json.loads(out)
-        assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+        assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out, argv
+
+
+_odd_strings = st.sampled_from(
+    ["", "\"", "\\", "\x00\x1f\x7f", "\n\t", "\u03a33", "\U0001f600", "\ud800", "\u2028"]
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | st.text()
+    | _odd_strings
+    | st.just([]) | st.just({}),
+    lambda children: st.lists(children)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(st.text() | _odd_strings, children),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5,
+    (1, 2),
+    {1, 2},
+    {1: "a"},
+    {"rows": [0, 1, 2.0]},
+    [{"k": 0, "re": 0.5}],
+])
+def test_json_text_refuses_types_outside_the_schema(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 def test_text_mode(capsys):

@@ -95,12 +95,16 @@ def test_heisenberg_order_is_p_cubed():
     assert H3.labels[H3.identity] == "(0,0,0)"
 
 
-def test_symmetric_group_composition_matches_permutation_oracle(catalog):
-    S3 = catalog["S3"]
-    perms = list(itertools.permutations(range(3)))
-    for i, px in enumerate(perms):
-        for j, py in enumerate(perms):
-            assert S3.mul(i, j) == perms.index(compose_permutations(px, py))
+def test_symmetric_group_composition_matches_permutation_oracle():
+    for n in range(1, 6):
+        Sn = group_from_name(f"S{n}")
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        assert Sn.cayley == tuple(
+            tuple(index[compose_permutations(px, py)] for py in perms) for px in perms
+        ), n
+        assert Sn.labels == tuple(groups._cycle_label(p) for p in perms), n
+    S3 = group_from_name("S3")
     # (12) after (123) is (23)
     twelve = S3.label_index["(12)"]
     cycle = S3.label_index["(123)"]
@@ -214,6 +218,15 @@ def test_subgroups_match_full_subset_closure(spec):
     assert G.order <= 12
     found = {frozenset(S.embedding) for S in enumerate_subgroups(G)}
     assert found == all_subgroup_sets(G)
+
+
+def test_group_order_guard(monkeypatch):
+    monkeypatch.setattr(groups, "GROUP_ORDER_LIMIT", 6)
+    for spec in ("C6", "D3", "S3", "K4"):
+        assert group_from_name(spec).order <= 6
+    for spec, order in (("C7", "7"), ("D4", "8"), ("S4", "4!"), ("H3", "27")):
+        with pytest.raises(SearchTooLarge, match=f"group {spec} has order {order},"):
+            group_from_name(spec)
 
 
 def test_subgroup_order_guard():
