@@ -8,20 +8,23 @@ floating-point tolerances.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from random import Random
 
 from .errors import GroupMismatch, IndexOutOfRange, InvalidHom, ParseError
-from .groups import FiniteGroup, GroupHom, GroupSpec, build_group, validate_hom
+from .groups import FiniteGroup, GroupHom, GroupSpec, _Frozen, _set, build_group, validate_hom
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(_Frozen):
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @staticmethod
     def of(re=0, im=0) -> "Scalar":
@@ -240,15 +243,18 @@ def lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return convolve(x, y) - convolve(y, x)
 
 
-@dataclass(frozen=True)
-class BarLift:
+class BarLift(_Frozen):
     """Linear extension of a group homomorphism across group-algebra elements.
 
     Two lifts are equal exactly when they agree on every group basis element,
     i.e. when the underlying image tables coincide.
     """
 
-    hom: GroupHom
+    __slots__ = ("hom",)
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, hom: GroupHom) -> None:
+        _set(self, "hom", hom)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.group != self.hom.domain:

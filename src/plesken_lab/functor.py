@@ -8,7 +8,7 @@ induced maps, and exhibit pairs of distinct morphisms with equal images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
@@ -57,17 +57,32 @@ def morphism_map(fbar: BarLift) -> HatLift:
     return lift_hom_hat(fbar.hom)
 
 
-@dataclass
 class SubgroupCategory:
     """Subgroups of an ambient group, one hat basis each, and every hom between them.
 
     The homs come validated from enumerate_homs and are trusted from then on.
     """
 
-    ambient: FiniteGroup
-    objects: tuple[FiniteGroup, ...]
-    bases: tuple[PleskenBasis, ...]
-    homsets: dict[tuple[int, int], tuple[GroupHom, ...]]
+    def __init__(
+        self,
+        ambient: FiniteGroup,
+        objects: tuple[FiniteGroup, ...],
+        bases: tuple[PleskenBasis, ...],
+        homsets: dict[tuple[int, int], tuple[GroupHom, ...]],
+    ) -> None:
+        self.ambient = ambient
+        self.objects = objects
+        self.bases = bases
+        self.homsets = homsets
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient, self.objects, self.bases, self.homsets) == (
+            other.ambient, other.objects, other.bases, other.homsets
+        )
+
+    __hash__ = None  # its fields can be reassigned
 
     @cached_property
     def lifts(self) -> dict[tuple[int, int], dict[tuple[int, ...], HatLift]]:
@@ -92,25 +107,12 @@ def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
     return SubgroupCategory(ambient, objects, bases, homsets)
 
 
-@dataclass(frozen=True)
-class IdentityLawResult:
-    object_index: int
-    ok: bool
+IdentityLawResult = namedtuple("IdentityLawResult", "object_index ok")
+CompositionLawResult = namedtuple("CompositionLawResult", "source middle target pairs ok")
 
 
-@dataclass(frozen=True)
-class CompositionLawResult:
-    source: int
-    middle: int
-    target: int
-    pairs: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LawReport:
-    identity: tuple[IdentityLawResult, ...]
-    composition: tuple[CompositionLawResult, ...]
+class LawReport(namedtuple("LawReport", "identity composition")):
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
@@ -152,22 +154,18 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
     return LawReport(tuple(identity_results), tuple(composition_results))
 
 
-@dataclass(frozen=True)
-class FullnessPairResult:
-    source: int
-    target: int
-    morphisms: int
-    distinct_images: int
-    witnessed: int
+class FullnessPairResult(
+    namedtuple("FullnessPairResult", "source target morphisms distinct_images witnessed")
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.witnessed == self.distinct_images
 
 
-@dataclass(frozen=True)
-class FullnessReport:
-    pairs: tuple[FullnessPairResult, ...]
+class FullnessReport(namedtuple("FullnessReport", "pairs")):
+    __slots__ = ()
 
     @property
     def all_full(self) -> bool:
@@ -187,14 +185,12 @@ def check_full(category: SubgroupCategory) -> FullnessReport:
     return FullnessReport(tuple(results))
 
 
-@dataclass(frozen=True)
-class FaithfulnessWitness:
+class FaithfulnessWitness(
+    namedtuple("FaithfulnessWitness", "source target image_a image_b")
+):
     """Two distinct bar lifts between the same objects with equal hat lifts."""
 
-    source: int
-    target: int
-    image_a: tuple[int, ...]
-    image_b: tuple[int, ...]
+    __slots__ = ()
 
 
 def find_faithfulness_counterexample(
@@ -210,5 +206,5 @@ def find_faithfulness_counterexample(
             for a, image_a in enumerate(images):
                 for image_b in images[a + 1 :]:
                     out.append(FaithfulnessWitness(i, j, image_a, image_b))
-    out.sort(key=lambda w: (w.source, w.target, w.image_a, w.image_b))
+    out.sort()
     return out

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from math import gcd
+from operator import attrgetter, index, itemgetter
 
 from .errors import (
     DomainMismatch,
@@ -40,26 +41,56 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the small immutable value classes.
+
+    ``__init__`` sets each slot once through ``object.__setattr__``; later
+    assignment raises ``AttributeError``.  Two instances of the same class are
+    equal, and hash alike, when the fields read by the class's ``_key`` agree.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GroupSpec(_Frozen):
     """Names one group from the built-in families."""
 
-    kind: str
-    param: int | None = None
+    __slots__ = ("kind", "param")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        if self.kind == "klein4":
-            if self.param is not None:
+    def __init__(self, kind: str, param: int | None = None) -> None:
+        if kind == "klein4":
+            if param is not None:
                 raise InvalidSpec("klein4 takes no parameter")
-            return
-        if self.kind not in _KIND_LETTERS:
-            raise InvalidSpec(f"unknown group kind {self.kind!r}")
-        if not isinstance(self.param, int) or self.param < 1:
-            raise InvalidSpec(f"{self.kind} needs a positive integer parameter")
-        if self.kind == "heisenberg" and not _is_odd_prime(self.param):
-            raise InvalidSpec(
-                f"heisenberg parameter must be an odd prime, got {self.param}"
-            )
+        elif kind not in _KIND_LETTERS:
+            raise InvalidSpec(f"unknown group kind {kind!r}")
+        elif not isinstance(param, int) or param < 1:
+            raise InvalidSpec(f"{kind} needs a positive integer parameter")
+        elif kind == "heisenberg" and not _is_odd_prime(param):
+            raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {param}")
+        _set(self, "kind", kind)
+        _set(self, "param", param)
 
     @classmethod
     def parse(cls, text: str) -> GroupSpec:
@@ -91,14 +122,15 @@ def _validate_table(G: FiniteGroup) -> None:
     rows, n = G.cayley, G.order
     if any(len(row) != n for row in rows):
         raise ValueError("Cayley table must be square")
-    expected = list(range(n))
-    columns = tuple(zip(*rows))
-    for kind, lines in (("row", rows), ("column", columns)):
+    # entries are canonical ints in 0..n-1, so n distinct ones make a permutation
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
         for i, line in enumerate(lines):
-            if sorted(line) != expected:
+            if len(set(line)) != n:
                 raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
-    ident = tuple(expected)
-    units = [x for x in range(n) if rows[x] == ident and columns[x] == ident]
+    ident = tuple(range(n))
+    units = [
+        x for x in range(n) if rows[x] == ident and tuple(row[x] for row in rows) == ident
+    ]
     if len(units) != 1:
         raise ValueError("table does not have exactly one two-sided identity")
     e = G.identity = units[0]
@@ -109,9 +141,10 @@ def _validate_table(G: FiniteGroup) -> None:
     G.generators = tuple(generating_set(G))
     for g in G.generators:
         row_g = rows[g]
+        times_row_g = itemgetter(*row_g)  # row_x -> the row of x*(g*y) over y
         for x, row_x in enumerate(rows):
             row_xg = rows[row_x[g]]
-            if row_xg != tuple(map(row_x.__getitem__, row_g)):
+            if row_xg != times_row_g(row_x):
                 y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
                 raise ValueError(f"associativity fails: (x*g)*y != x*(g*y) at {x=}, {g=}, {y=}")
 
@@ -145,11 +178,20 @@ class FiniteGroup:
         ambient: "FiniteGroup | None" = None,
         embedding=None,
     ) -> None:
-        rows = tuple(tuple(map(int, row)) for row in cayley)
-        if not rows:
+        cayley = tuple(cayley)
+        n = len(cayley)
+        if not n:
             raise ValueError("a group needs at least the identity element")
-        self.order = len(rows)
-        self.cayley = rows
+        # one shared int object per value; a non-integral or out-of-range entry has no key
+        canonical = dict(zip(range(n), range(n))).__getitem__
+        rows = []
+        for i, row in enumerate(cayley):
+            try:
+                rows.append(tuple(map(canonical, row)))
+            except (KeyError, TypeError):
+                raise ValueError(f"row {i} is not a permutation of 0..{n - 1}") from None
+        self.order = n
+        self.cayley = tuple(rows)
         _validate_table(self)
         if labels is None:
             labels = [str(i) for i in range(self.order)]
@@ -249,9 +291,31 @@ def _power_label(base: str, k: int) -> str:
     return f"{base}^{k}"
 
 
+def _rows_by_right_multiplication(
+    order: int, generators: list[tuple[int, tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Every row of a table with identity 0, grown from (s, row of s) for generators s.
+
+    Right multiplication by s: x*s = row(x)[s] and row(x*s) = row(x)[row(s)].  All
+    rows share the int objects of the identity row.
+    """
+    rows = {0: tuple(range(order))}
+    steps = [(s, itemgetter(*row_s)) for s, row_s in generators]
+    stack = [0]
+    while stack:
+        row_x = rows[stack.pop()]
+        for s, times_row_s in steps:
+            xs = row_x[s]
+            if xs not in rows:
+                rows[xs] = times_row_s(row_x)
+                stack.append(xs)
+    return [rows[x] for x in range(order)]
+
+
 def _cyclic_group(spec: GroupSpec) -> FiniteGroup:
     n = spec.param
-    cayley = [[(i + j) % n for j in range(n)] for i in range(n)]
+    line = tuple(range(n)) * 2
+    cayley = [line[i : i + n] for i in range(n)]  # rotations share one int per value
     labels = [_power_label("a", k) for k in range(n)]
     return FiniteGroup(cayley, labels, spec)
 
@@ -273,7 +337,9 @@ def _dihedral_group(spec: GroupSpec) -> FiniteGroup:
             return f1 * n + (r1 + r2) % n
         return (1 - f1) * n + (r2 - r1) % n
 
-    cayley = [[prod(i, j) for j in range(order)] for i in range(order)]
+    # generated by r (index 1) and s (index n); for n = 1 these coincide
+    generators = [(g, tuple(prod(g, j) for j in range(order))) for g in sorted({1, n})]
+    cayley = _rows_by_right_multiplication(order, generators)
     labels = [_power_label("r", k) for k in range(n)]
     labels += ["s" if k == 0 else "s" + _power_label("r", k) for k in range(n)]
     return FiniteGroup(cayley, labels, spec)
@@ -303,43 +369,31 @@ def _symmetric_group(spec: GroupSpec) -> FiniteGroup:
     # elements in lexicographic one-line order; product x*y applies y first
     n = spec.param
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # Rows of the generators (12) and (12...n) by composing permutations; every
-    # other row by right multiplication: row(x*s) = row(x)[row(s)], x*s = row(x)[s].
-    generators = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-    gen_rows = {
-        index[s]: tuple(index[tuple(map(s.__getitem__, py))] for py in perms)
-        for s in generators
-    }
-    rows = {0: tuple(range(len(perms)))}
-    stack = [0]
-    while stack:
-        row_x = rows[stack.pop()]
-        for s, row_s in gen_rows.items():
-            xs = row_x[s]
-            if xs not in rows:
-                rows[xs] = tuple(map(row_x.__getitem__, row_s))
-                stack.append(xs)
-    cayley = [rows[x] for x in range(len(perms))]
+    position = {p: i for i, p in enumerate(perms)}
+    # generated by (12) and (12...n), whose rows come from composing permutations
+    generators = [
+        (position[s], tuple(position[tuple(map(s.__getitem__, py))] for py in perms))
+        for s in ([(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else [])
+    ]
+    cayley = _rows_by_right_multiplication(len(perms), generators)
     labels = [_cycle_label(p) for p in perms]
     return FiniteGroup(cayley, labels, spec)
 
 
 def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
-    # upper unitriangular 3x3 matrices over Z_p, encoded as (a, b, c) triples
+    # upper unitriangular 3x3 matrices over Z_p, encoded as (a, b, c) triples with
+    # (a1, b1, c1)*(a2, b2, c2) = (a1 + a2, b1 + b2 + a1*c2, c1 + c2)
     p = spec.param
     triples = list(itertools.product(range(p), repeat=3))
 
     def code(a: int, b: int, c: int) -> int:
-        return (a * p + b) * p + c
+        return ((a % p) * p + b % p) * p + c % p
 
-    cayley = [
-        [
-            code((a1 + a2) % p, (b1 + b2 + a1 * c2) % p, (c1 + c2) % p)
-            for (a2, b2, c2) in triples
-        ]
-        for (a1, b1, c1) in triples
+    generators = [  # (1,0,0) and (0,0,1), at indices p^2 and 1
+        (p * p, tuple(code(a + 1, b + c, c) for a, b, c in triples)),
+        (1, tuple(code(a, b, c + 1) for a, b, c in triples)),
     ]
+    cayley = _rows_by_right_multiplication(len(triples), generators)
     labels = [f"({a},{b},{c})" for (a, b, c) in triples]
     return FiniteGroup(cayley, labels, spec)
 
@@ -348,21 +402,27 @@ def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Frozen):
     """Total map between groups, given by an image table on element indices."""
 
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    image: tuple[int, ...]
+    __slots__ = ("domain", "codomain", "image")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
-        if len(self.image) != self.domain.order:
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image) -> None:
+        values = []
+        for i, v in enumerate(image):
+            try:
+                values.append(index(v))
+            except TypeError:
+                raise InvalidHom(f"image entry {i} is {v!r}, not an integer") from None
+        if len(values) != domain.order:
             raise InvalidHom("image table length does not match the domain order")
-        for v in self.image:
-            if not 0 <= v < self.codomain.order:
+        for v in values:
+            if not 0 <= v < codomain.order:
                 raise InvalidHom(f"image entry {v} outside the codomain")
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "image", tuple(values))
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -464,11 +524,28 @@ def _extend_generator_images(
     return tuple(img)
 
 
+def _element_orders(G: FiniteGroup) -> list[int]:
+    """Order of every element; the powers of x give the orders of all of <x> at once."""
+    e, orders = G.identity, [0] * G.order
+    for x in range(G.order):
+        if not orders[x]:
+            row, powers = G.cayley[x], [e]
+            while (y := row[powers[-1]]) != e:
+                powers.append(y)
+            m = len(powers)
+            for k, y in enumerate(powers):
+                orders[y] = m // gcd(k, m)
+    return orders
+
+
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms G -> H, sorted lexicographically by image table.
 
-    Every choice of images for ``G.generators`` is propagated along the
-    Cayley graph, checking each edge ``x -> x*g``.  A table that passes has
+    A hom sends each generator g to an element whose order divides g's order,
+    so only those images are tried (the backtrack search of Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*).  Every choice of images
+    for ``G.generators`` is propagated along the Cayley graph, checking each
+    edge ``x -> x*g``.  A table that passes has
     ``img(x*g1*...*gk) = img(x)*h1*...*hk``, so it is multiplicative, and
     distinct generator images give distinct tables: no further check is needed.
     """
@@ -477,8 +554,12 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
         raise SearchTooLarge(
             f"hom search size {H.order}^{len(gens)} exceeds {HOM_SEARCH_LIMIT}"
         )
+    orders_G, orders_H = _element_orders(G), _element_orders(H)
+    candidates = [
+        [h for h in range(H.order) if orders_G[g] % orders_H[h] == 0] for g in gens
+    ]
     tables = []
-    for images in itertools.product(range(H.order), repeat=len(gens)):
+    for images in itertools.product(*candidates):
         table = _extend_generator_images(G, H, gens, images)
         if table is not None:
             tables.append(table)

@@ -7,7 +7,7 @@ coordinates over a canonical choice of hat representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .algebra import AlgebraElement, ONE, Scalar, ZERO, lie_bracket
 from .errors import (
@@ -17,7 +17,7 @@ from .errors import (
     InvalidPrime,
     NotInSpan,
 )
-from .groups import FiniteGroup, GroupHom, _is_odd_prime, validate_hom
+from .groups import FiniteGroup, GroupHom, _Frozen, _is_odd_prime, _set, validate_hom
 
 
 def hat(G: FiniteGroup, g: int) -> AlgebraElement:
@@ -255,8 +255,7 @@ def compose_hat_maps(first: HatMap, second: HatMap) -> HatMap:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HatLift:
+class HatLift(_Frozen):
     """Induced map between hat-span Lie algebras, stored as its integer hat map.
 
     ``action[k]`` is (m, +-1) when the k-th domain basis hat goes to +-e_m in
@@ -265,10 +264,20 @@ class HatLift:
     of which group homomorphism produced them.
     """
 
-    hom: GroupHom = field(compare=False)
-    domain_basis: PleskenBasis
-    codomain_basis: PleskenBasis
-    action: HatMap
+    __slots__ = ("hom", "domain_basis", "codomain_basis", "action")
+    _key = attrgetter("domain_basis", "codomain_basis", "action")
+
+    def __init__(
+        self,
+        hom: GroupHom,
+        domain_basis: PleskenBasis,
+        codomain_basis: PleskenBasis,
+        action: HatMap,
+    ) -> None:
+        _set(self, "hom", hom)
+        _set(self, "domain_basis", domain_basis)
+        _set(self, "codomain_basis", codomain_basis)
+        _set(self, "action", action)
 
     def __call__(self, x: PleskenElement) -> PleskenElement:
         if x.basis != self.domain_basis:

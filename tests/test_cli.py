@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -164,6 +166,18 @@ def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "functor", "check", "--ambient", "S3")
     _, second = run_cli(capsys, "functor", "check", "--ambient", "S3")
     assert first == second
+
+
+def test_workload_commands_print_the_frozen_bytes(capsys):
+    # exit code and stdout sha256 of every benchmark command, as frozen by the benchmark
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+    )["commands"]
+    assert len(expected) == 25
+    for key, frozen in expected.items():
+        code, out = run_cli(capsys, *key.split(" "))
+        assert code == frozen["exit_code"], key
+        assert hashlib.sha256(out.encode()).hexdigest() == frozen["stdout_sha256"], key
 
 
 def test_json_round_trips_through_schema(capsys):

@@ -8,19 +8,23 @@ import pytest
 
 import plesken_lab.groups as groups
 from plesken_lab import (
+    BarLift,
     DomainMismatch,
     FiniteGroup,
     GroupHom,
     GroupSpec,
     IndexOutOfRange,
+    InvalidHom,
     InvalidSpec,
     ParseError,
+    Scalar,
     SearchTooLarge,
     compose_homs,
     enumerate_homs,
     enumerate_subgroups,
     group_from_name,
     identity_hom,
+    lift_hom_hat,
     trivial_hom,
     validate_hom,
 )
@@ -111,6 +115,40 @@ def test_symmetric_group_composition_matches_permutation_oracle():
     assert S3.mul(twelve, cycle) == S3.label_index["(23)"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_table_matches_matrix_product_formula(p):
+    Hp = group_from_name(f"H{p}")
+    triples = list(itertools.product(range(p), repeat=3))
+    index = {t: i for i, t in enumerate(triples)}
+    assert Hp.cayley == tuple(
+        tuple(
+            index[(a1 + a2) % p, (b1 + b2 + a1 * c2) % p, (c1 + c2) % p]
+            for a2, b2, c2 in triples
+        )
+        for a1, b1, c1 in triples
+    )
+    assert Hp.labels == tuple(f"({a},{b},{c})" for a, b, c in triples)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dihedral_table_matches_reflection_rotation_formula(n):
+    # s^f1 r^k1 * s^f2 r^k2 = s^(f1+f2) r^((-1)^f2 k1 + k2), from s r s = r^-1
+    Dn = group_from_name(f"D{n}")
+    elements = [(f, k) for f in range(2) for k in range(n)]
+    index = {x: i for i, x in enumerate(elements)}
+    assert Dn.cayley == tuple(
+        tuple(index[(f1 + f2) % 2, ((-1) ** f2 * k1 + k2) % n] for f2, k2 in elements)
+        for f1, k1 in elements
+    )
+    rotations = ["e", "r", *(f"r^{k}" for k in range(2, n))][:n]
+    assert Dn.labels == (*rotations, "s", *("s" + rot for rot in rotations[1:]))
+
+
+def test_table_entries_share_one_int_per_value():
+    C600 = group_from_name("C600")
+    assert len({id(v) for row in C600.cayley for v in row}) == 600
+
+
 def test_heisenberg_inverse_by_matrix_formula():
     H5 = group_from_name("H5")
     x = H5.label_index["(1,0,1)"]
@@ -152,14 +190,51 @@ def test_enumerate_homs_counts(catalog, dom, cod, count):
     assert images == sorted(images)
 
 
+def _orders_by_powers(G: FiniteGroup) -> list[int]:
+    orders = []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != G.identity:
+            k, y = k + 1, G.cayley[y][x]
+        orders.append(k)
+    return orders
+
+
+@pytest.mark.parametrize("spec", ["C1", "C12", "K4", "S3", "D4", "D6", "S4", "H3"])
+def test_element_orders_match_repeated_multiplication(spec):
+    G = group_from_name(spec)
+    assert groups._element_orders(G) == _orders_by_powers(G)
+
+
+# pairs where some image of a generator is skipped: its order does not divide the generator's
+PRUNED_PAIRS = {
+    ("K4", "C3"), ("S3", "S3"), ("S3", "C6"), ("C2", "S3"), ("C3", "S3"), ("K4", "S3"),
+    ("D4", "C4"), ("S3", "D4"), ("C4", "C6"),
+}
+
+
 @pytest.mark.parametrize("dom,cod", [
     ("C3", "C3"), ("K4", "C3"), ("C2", "K4"), ("S3", "S3"), ("C6", "C6"),
     ("S3", "C6"), ("C6", "S3"), ("D4", "K4"),
+    ("C2", "S3"), ("C3", "S3"), ("K4", "S3"), ("C4", "D4"), ("D4", "C4"), ("S3", "D4"),
+    ("C4", "C6"),
 ])
 def test_enumerate_homs_exhaustive_against_map_search(catalog, dom, cod):
-    G, H = catalog[dom], catalog[cod]
+    G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
+    orders_G, orders_H = _orders_by_powers(G), _orders_by_powers(H)
+    pruned = any(orders_G[g] % orders_H[h] for g in G.generators for h in range(H.order))
+    assert pruned == ((dom, cod) in PRUNED_PAIRS)
     found = {f.image for f in enumerate_homs(G, H)}
     assert found == set(all_hom_tables(G, H))
+
+
+def test_s5_endomorphism_count():
+    # 1 trivial, 25 through the sign map onto the 25 involutions, 120 automorphisms
+    S5 = group_from_name("S5")
+    homs = enumerate_homs(S5, S5)
+    assert len(homs) == 146
+    assert sum(len(set(f.image)) == 2 for f in homs) == 25
+    assert sum(len(set(f.image)) == 120 for f in homs) == 120
 
 
 @pytest.mark.parametrize("spec,gens", [
@@ -258,6 +333,10 @@ def test_direct_table_construction_rejects_bad_tables():
         FiniteGroup([[0, 1, 2], [1, 2], [2, 0, 1]])  # ragged row
     with pytest.raises(ValueError, match="permutation"):
         FiniteGroup([[0, 1, 2], [1, 2, 3], [2, 0, 1]])  # entry out of range
+    for bad in ([[0, 1.5], [1.5, 0]], [["0", "1"], ["1", "0"]], [[0, 1], [1, None]]):
+        with pytest.raises(ValueError, match=r"row \d is not a permutation"):
+            FiniteGroup(bad)  # non-integral entries; int() would have accepted the first two
+    assert FiniteGroup([[0.0, 1], [True, 0]]).cayley == ((0, 1), (1, 0))  # integral values
     for n in (8, 600):  # the check must be exact at small and large orders
         t = _cyclic_with_swapped_intercalate(n)
         assert t[t[1][2]][1] != t[1][t[2][1]]
@@ -265,6 +344,50 @@ def test_direct_table_construction_rejects_bad_tables():
             FiniteGroup(t)
 
 
+def test_hom_image_entries_must_be_integers(catalog):
+    C2 = catalog["C2"]
+    for image, entry in (((0, 1.9), 1), (("0", 1), 0), ((0, None), 1)):
+        with pytest.raises(InvalidHom, match=f"image entry {entry} is"):
+            GroupHom(C2, C2, image)
+    assert GroupHom(C2, C2, (0, True)).image == (0, 1)
+
+
+def test_value_classes_are_immutable_and_compare_by_fields(catalog):
+    K4 = catalog["K4"]
+    ident, triv = identity_hom(K4), trivial_hom(K4, K4)
+    values = {
+        GroupSpec("klein4"): "kind",
+        ident: "image",
+        Scalar(): "re",
+        BarLift(ident): "hom",
+        lift_hom_hat(ident): "action",
+    }
+    for value, field in values.items():
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    assert GroupSpec("cyclic", 3) == GroupSpec.parse("C3") != GroupSpec("cyclic", 4)
+    assert hash(GroupSpec("cyclic", 3)) == hash(GroupSpec.parse("c3"))
+    assert GroupHom(K4, K4, [0, 1, 2, 3]) == ident != triv
+    assert Scalar() == Scalar.of(0) != Scalar.of(0, 1)
+    assert Scalar() != 0 and Scalar() != (0, 0)  # only a Scalar equals a Scalar
+    assert BarLift(ident) == BarLift(identity_hom(K4)) != BarLift(triv)
+    # K4 has no hat basis, so both lifts have the empty action: equal, whatever the hom
+    assert lift_hom_hat(ident) == lift_hom_hat(triv)
+    assert hash(lift_hom_hat(ident)) == hash(lift_hom_hat(triv))
+    C3 = catalog["C3"]
+    assert lift_hom_hat(identity_hom(C3)) != lift_hom_hat(trivial_hom(C3, C3))
+
+
 def test_import_loads_no_numpy():
     code = "import sys, plesken_lab; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    code = (
+        "import sys, plesken_lab, plesken_lab.cli; "
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules"
+    )
     assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
