@@ -59,7 +59,6 @@ from .plesken import (
     PleskenElement,
     bracket_expansion_check,
     canonical_basis,
-    compose_hat_maps,
     embed,
     hat,
     heisenberg_hat_closed_form,

@@ -8,8 +8,11 @@ for fixed arguments; text mode is human-oriented and not schema-stable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from random import Random
 
 from .algebra import (
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,8 +303,11 @@ def _json_text(value, newline: str = "\n") -> str:
     if kind is list:
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        if types == {int}:
             parts = map(int.__repr__, value)
+        elif types == {dict} and len(value) > 1 and _share_keys(value):
+            parts = _records_text(value, inner)
         else:
             parts = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
@@ -317,11 +324,63 @@ def _json_text(value, newline: str = "\n") -> str:
     return "{" + inner + ("," + inner).join(parts) + newline + "}"
 
 
+def _share_keys(records: list) -> bool:
+    """True when every dict in ``records`` has the first one's keys, and it has some."""
+    keys = records[0].keys()
+    return bool(keys) and all(map(keys.__eq__, map(dict.keys, records)))
+
+
+class _IntListTexts(dict):
+    """Memo of int-list texts at one indent, keyed by the items as a tuple."""
+
+    __slots__ = ("newline",)
+
+    def __init__(self, newline: str) -> None:
+        self.newline = newline
+
+    def __missing__(self, items: tuple) -> str:
+        text = self[items] = _json_text(list(items), self.newline)
+        return text
+
+
+def _records_text(records: list, newline: str) -> list[str]:
+    """``_json_text`` of each record, for dicts that share one non-empty key set.
+
+    Each record fills one ``%`` template, so the per-record work runs in C.
+    Each key's values are streamed, never stored as a column, and written
+    by their exact types: an int column through ``%d``, a str column through
+    ``encode_basestring_ascii``, a column of int lists through a memo that
+    writes each distinct list once, and any other column (bools, mixed
+    types, nesting) through ``_json_text``, which refuses every type outside
+    the schema.
+    """
+    keys = sorted(records[0])
+    inner = newline + "  "
+    slots = []
+    texts = []
+    for k in keys:
+        get = itemgetter(k)
+        types = set(map(type, map(get, records)))
+        slot = "%s"
+        if types == {int}:
+            slot = "%d"
+            texts.append(map(get, records))
+        elif types == {str}:
+            texts.append(map(_quote, map(get, records)))
+        elif types == {list} and set(map(type, chain.from_iterable(map(get, records)))) == {int}:
+            texts.append(map(_IntListTexts(inner).__getitem__, map(tuple, map(get, records))))
+        else:
+            texts.append(map(_json_text, map(get, records), repeat(inner)))
+        slots.append(_quote(k).replace("%", "%%") + ": " + slot)
+    template = "{" + inner + ("," + inner).join(slots) + newline + "}"
+    return list(map(template.__mod__, zip(*texts)))
+
+
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_json_text(report))
-    else:
-        print(_format_text(report))
+    text = _json_text(report) if fmt == "json" else _format_text(report)
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def main(argv=None) -> int:
@@ -329,20 +388,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = {"schema_version": SCHEMA_VERSION, "command": _echo(args)}
     try:
-        payload, code = _DISPATCH[args.verb](args)
+        report["payload"], code = _DISPATCH[args.verb](args)
     except (ParseError, InvalidSpec) as exc:
         report["error"] = str(exc)
-        report["exit_code"] = EXIT_USAGE
-        _emit(report, args.format)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except SearchTooLarge as exc:
         report["error"] = str(exc)
-        report["exit_code"] = EXIT_GUARD
-        _emit(report, args.format)
-        return EXIT_GUARD
-    report["payload"] = payload
+        code = EXIT_GUARD
     report["exit_code"] = code
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): exit as a shell reports a writer killed by
+        # SIGPIPE, without a traceback; stdout goes to devnull, or the interpreter's last
+        # flush of the unwritten buffer fails again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -149,6 +149,30 @@ def _validate_table(G: FiniteGroup) -> None:
                 raise ValueError(f"associativity fails: (x*g)*y != x*(g*y) at {x=}, {g=}, {y=}")
 
 
+def _read_embedding(embedding, order: int, ambient: "FiniteGroup | None") -> tuple[int, ...]:
+    """``embedding`` as distinct elements of ``ambient``, one per element of the subgroup.
+
+    Each error names the entry at fault.
+    """
+    if ambient is None:
+        raise ValueError("an embedding needs an ambient group")
+    entries = []
+    for i, v in enumerate(embedding):
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"embedding entry {i} is {v!r}, not an integer") from None
+        if not 0 <= v < ambient.order:
+            raise ValueError(f"embedding entry {i} is {v}, outside 0..{ambient.order - 1}")
+        entries.append(v)
+    if len(entries) != order:
+        raise ValueError(f"embedding has {len(entries)} entries, expected {order}")
+    if len(set(entries)) != order:
+        i = next(i for i, v in enumerate(entries) if v in entries[:i])
+        raise ValueError(f"embedding entry {i} repeats {entries[i]}")
+    return tuple(entries)
+
+
 class FiniteGroup:
     """A finite group on indices ``0..order-1`` with precomputed tables.
 
@@ -200,7 +224,7 @@ class FiniteGroup:
             raise ValueError("labels length does not match group order")
         self.spec = spec
         self.ambient = ambient
-        self.embedding = tuple(int(v) for v in embedding) if embedding is not None else None
+        self.embedding = None if embedding is None else _read_embedding(embedding, n, ambient)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     def mul(self, x: int, y: int) -> int:

@@ -242,19 +242,6 @@ def hat_map(image, domain_basis: PleskenBasis, codomain_basis: PleskenBasis) -> 
     return tuple(position(image[g]) for g in domain_basis.reps)
 
 
-def compose_hat_maps(first: HatMap, second: HatMap) -> HatMap:
-    """The integer map of ``second`` after ``first``."""
-    out = []
-    for entry in first:
-        if entry is not None:
-            m, s = entry
-            entry = second[m]
-            if entry is not None and s < 0:
-                entry = (entry[0], -entry[1])
-        out.append(entry)
-    return tuple(out)
-
-
 class HatLift(_Frozen):
     """Induced map between hat-span Lie algebras, stored as its integer hat map.
 

@@ -2,8 +2,9 @@
 
 Nothing here reuses the library's search or reduction code paths: ranks come
 from plain Fraction elimination, homomorphism sets from exhaustive map
-search, subgroup sets from full subset closure, and matrix inverses from
-search over the whole matrix group.
+search, subgroup sets from full subset closure, matrix inverses from
+search over the whole matrix group, and the functor's composition law from
+every composable pair.
 """
 
 from __future__ import annotations
@@ -67,6 +68,42 @@ def all_subgroup_sets(G) -> set[frozenset[int]]:
                 G.inv[a] in s for a in s
             ):
                 out.add(frozenset(s))
+    return out
+
+
+def compose_hat_maps(first, second):
+    """The integer hat map of ``second`` after ``first``."""
+    out = []
+    for entry in first:
+        if entry is not None:
+            m, s = entry
+            entry = second[m]
+            if entry is not None and s < 0:
+                entry = (entry[0], -entry[1])
+        out.append(entry)
+    return tuple(out)
+
+
+def composition_law_by_pairs(category) -> list[tuple[int, int, int, int, bool]]:
+    """(source, middle, target, pairs, ok) for every object triple, pair by pair.
+
+    A pair holds when the composite image table is a morphism of the category
+    and its stored lift equals the composite of the two stored integer maps.
+    """
+    lifts = category.lifts
+    n = len(category.objects)
+    out = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        first, second, composites = lifts[(i, j)], lifts[(j, k)], lifts[(i, k)]
+        ok = True
+        for image1, lift1 in first.items():
+            for image2, lift2 in second.items():
+                composite = composites.get(tuple(image2[x] for x in image1))
+                if composite is None or composite.action != compose_hat_maps(
+                    lift1.action, lift2.action
+                ):
+                    ok = False
+        out.append((i, j, k, len(first) * len(second), ok))
     return out
 
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import plesken_lab
 import plesken_lab.groups as groups
 from plesken_lab import element_to_json, group_from_name, lie_bracket, parse_element
 from plesken_lab.cli import _json_text, main
@@ -180,6 +185,41 @@ def test_workload_commands_print_the_frozen_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == frozen["stdout_sha256"], key
 
 
+@pytest.mark.parametrize("argv,read_first", [
+    (("group", "C2"), 0),  # stdout closed before the child writes: the flush fails
+    (("plesken", "H5", "sc"), 100),  # 630 kB, more than a pipe holds: a write fails
+])
+def test_broken_pipe_exits_141_without_a_traceback(argv, read_first):
+    env = dict(os.environ, PYTHONPATH=str(Path(plesken_lab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, as by default
+    read_end, write_end = os.pipe()
+    if not read_first:
+        os.close(read_end)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "plesken_lab", *argv],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    if read_first:
+        assert os.read(read_end, read_first).startswith(b"{")
+        os.close(read_end)
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert stderr == b""
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these functions by name in each layer module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"plesken_lab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
 def test_json_round_trips_through_schema(capsys):
     for argv in ACCEPTANCE_COMMANDS + (
         ("group", "\u03a33"),  # error report with a non-ASCII spec
@@ -193,6 +233,19 @@ def test_json_round_trips_through_schema(capsys):
 _odd_strings = st.sampled_from(
     ["", "\"", "\\", "\x00\x1f\x7f", "\n\t", "\u03a33", "\U0001f600", "\ud800", "\u2028"]
 )
+_keys = st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", "%d"])
+
+
+def _records(children):
+    """Lists of two or more dicts with one shared key set: the writer's record path."""
+    column = children | st.integers(0, 2) | st.booleans() | st.lists(st.integers(0, 3))
+    return st.lists(_keys, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(
+            st.fixed_dictionaries({k: column for k in keys}), min_size=2, max_size=6
+        )
+    )
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -203,12 +256,18 @@ _json_values = st.recursive(
     | st.just([]) | st.just({}),
     lambda children: st.lists(children)
     | st.lists(st.integers() | st.booleans())
-    | st.dictionaries(st.text() | _odd_strings, children),
+    | st.dictionaries(st.text() | _odd_strings, children)
+    | _records(children),
     max_leaves=30,
 )
 
 
 @given(_json_values)
+@example([{}, {}])
+@example([{"a": []}, {"a": [0]}])
+@example([{"%s": 1}, {"%s": True}])
+@example([{"k": [1]}, {"k": [True]}])
+@example([{"k": [[1]], "l": {"m": [2]}}, {"k": [[1]], "l": {"m": [2]}}])
 def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -220,6 +279,13 @@ def test_json_text_matches_json_dumps(value):
     {1: "a"},
     {"rows": [0, 1, 2.0]},
     [{"k": 0, "re": 0.5}],
+    [{"k": 0, "re": 0.5}, {"k": 1, "re": "1"}],
+    [{"k": 1}, {"k": 1.0}],
+    [{"k": 1.0}, {"k": 1}],
+    [{"k": [1]}, {"k": [1.0]}],
+    [{"k": {"a": 1}}, {"k": {"a": 0.5}}],
+    [{"k": 0}, {"k": (1,)}],
+    [{1: "a"}, {1: "b"}],
 ])
 def test_json_text_refuses_types_outside_the_schema(value):
     with pytest.raises(TypeError):

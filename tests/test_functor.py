@@ -6,11 +6,11 @@ import pytest
 
 from plesken_lab import (
     AlgebraElement,
+    GroupHom,
     HatLift,
     SubgroupCategory,
     check_full,
     check_functor_laws,
-    compose_hat_maps,
     compose_homs,
     enumerate_homs,
     find_faithfulness_counterexample,
@@ -27,6 +27,7 @@ from plesken_lab import (
     subgroup_category,
     trivial_hom,
 )
+from oracles import compose_hat_maps, composition_law_by_pairs
 
 
 def test_object_map_examples(catalog):
@@ -105,13 +106,44 @@ def test_subgroup_category_invariants(catalog):
                         assert compose_homs(f2, f1).image in available
 
 
-@pytest.mark.parametrize("spec", ["C3", "K4", "S3", "D4", "D6"])
+@pytest.mark.parametrize("spec", ["C3", "K4", "S3", "D4", "D6", "S4", "H3"])
 def test_functor_laws_hold(catalog, spec):
     G = catalog[spec] if spec in catalog else group_from_name(spec)
     report = check_functor_laws(subgroup_category(G))
     assert report.all_hold
     assert all(r.ok for r in report.identity)
     assert all(r.ok for r in report.composition)
+
+
+def test_composition_law_matches_the_pairwise_reference(catalog):
+    for spec, G in catalog.items():
+        C = subgroup_category(G)
+        assert list(check_functor_laws(C).composition) == composition_law_by_pairs(C), spec
+
+
+def _check_against_reference(C):
+    """The law report, after checking that it passes no triple the reference fails."""
+    report = check_functor_laws(C)
+    reference = composition_law_by_pairs(C)
+    assert [r[:4] for r in report.composition] == [r[:4] for r in reference]
+    assert all(ref[4] or not r.ok for r, ref in zip(report.composition, reference))
+    return report
+
+
+def _touching(C, i, j):
+    """The (source, middle, target) triples whose law reads Hom(i, j)."""
+    n = len(C.objects)
+    return {
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if (i, j) in ((a, b), (b, c), (a, c))
+    }
+
+
+def _failing(report):
+    return {(r.source, r.middle, r.target) for r in report.composition if not r.ok}
 
 
 def _top_automorphism(C):
@@ -127,7 +159,9 @@ def test_functor_laws_fail_when_a_composite_is_missing(catalog):
     top, auto = _top_automorphism(C)
     homsets = dict(C.homsets)
     homsets[(top, top)] = tuple(f for f in homsets[(top, top)] if f != auto)
-    report = check_functor_laws(SubgroupCategory(C.ambient, C.objects, C.bases, homsets))
+    report = _check_against_reference(
+        SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
+    )
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
     assert not next(
@@ -144,10 +178,10 @@ def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     C.lifts[(top, top)][auto.image] = HatLift(
         auto, lift.domain_basis, lift.codomain_basis, flipped
     )
-    report = check_functor_laws(C)
+    report = _check_against_reference(C)
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
-    assert not all(r.ok for r in report.composition)
+    assert _failing(report) == _touching(C, top, top)
 
     C = subgroup_category(catalog["S3"])
     ident = C.lifts[(top, top)][identity_hom(C.objects[top]).image]
@@ -157,6 +191,32 @@ def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     report = check_functor_laws(C)
     assert not report.identity[top].ok
     assert not report.all_hold
+
+
+def test_functor_laws_fail_on_a_non_hom_that_agrees_on_the_generators(catalog):
+    C = subgroup_category(catalog["S3"])
+    top, auto = _top_automorphism(C)
+    obj = C.objects[top]
+    x = next(x for x in range(obj.order) if x not in obj.generators and x != obj.identity)
+    image = list(auto.image)
+    image[x] = (image[x] + 1) % obj.order
+    fake = GroupHom(obj, obj, image)
+    homsets = dict(C.homsets)
+    homsets[(top, top)] = tuple(fake if f == auto else f for f in homsets[(top, top)])
+    C = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
+    report = _check_against_reference(C)
+    assert not report.all_hold
+    assert _failing(report) == _touching(C, top, top)
+
+    # the trivial group has no generators: a map of it is fixed by the image of e
+    C = subgroup_category(catalog["S3"])
+    assert C.objects[0].order == 1 and not C.objects[0].generators
+    homsets = dict(C.homsets)
+    S3 = C.objects[top]
+    homsets[(0, top)] += (GroupHom(C.objects[0], S3, ((S3.identity + 1) % S3.order,)),)
+    C = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
+    report = _check_against_reference(C)
+    assert _failing(report) == _touching(C, 0, top)
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])

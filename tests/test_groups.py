@@ -352,6 +352,25 @@ def test_hom_image_entries_must_be_integers(catalog):
     assert GroupHom(C2, C2, (0, True)).image == (0, 1)
 
 
+def test_embedding_entries_are_checked(catalog):
+    C2, C4 = catalog["C2"], group_from_name("C4")
+    for embedding, message in (
+        ((0, 1.5), "embedding entry 1 is 1.5, not an integer"),
+        (("0", 2), "embedding entry 0 is '0', not an integer"),
+        ((0, 4), r"embedding entry 1 is 4, outside 0\.\.3"),
+        ((-1, 2), r"embedding entry 0 is -1, outside 0\.\.3"),
+        ((0, 2, 3), "embedding has 3 entries, expected 2"),
+        ((0,), "embedding has 1 entries, expected 2"),
+        ((2, 2), "embedding entry 1 repeats 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(C2.cayley, ambient=C4, embedding=embedding)
+    with pytest.raises(ValueError, match="needs an ambient group"):
+        FiniteGroup(C2.cayley, embedding=(0, 2))
+    assert FiniteGroup(C2.cayley, ambient=C4, embedding=(0, True)).embedding == (0, 1)
+    assert FiniteGroup(C2.cayley, ambient=C4, embedding=[0, 2]).embedding == (0, 2)
+
+
 def test_value_classes_are_immutable_and_compare_by_fields(catalog):
     K4 = catalog["K4"]
     ident, triv = identity_hom(K4), trivial_hom(K4, K4)
