@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -306,41 +307,20 @@ def _json_text(value, newline: str = "\n") -> str:
         types = set(map(type, value))
         if types == {int}:
             parts = map(int.__repr__, value)
-        elif types == {dict} and len(value) > 1 and _share_keys(value):
+        elif types == {dict} and _share_keys(value):
             parts = _records_text(value, inner)
         else:
             parts = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if kind is not dict:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
-    if not value:
-        return "{}"
-    parts = []
-    for k in sorted(value):
-        v = value[k]
-        t = type(v)
-        text = _quote(v) if t is str else int.__repr__(v) if t is int else _json_text(v, inner)
-        parts.append(_quote(k) + ": " + text)
-    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return _records_text([value], newline)[0] if value else "{}"
 
 
 def _share_keys(records: list) -> bool:
     """True when every dict in ``records`` has the first one's keys, and it has some."""
     keys = records[0].keys()
     return bool(keys) and all(map(keys.__eq__, map(dict.keys, records)))
-
-
-class _IntListTexts(dict):
-    """Memo of int-list texts at one indent, keyed by the items as a tuple."""
-
-    __slots__ = ("newline",)
-
-    def __init__(self, newline: str) -> None:
-        self.newline = newline
-
-    def __missing__(self, items: tuple) -> str:
-        text = self[items] = _json_text(list(items), self.newline)
-        return text
 
 
 def _records_text(records: list, newline: str) -> list[str]:
@@ -368,7 +348,9 @@ def _records_text(records: list, newline: str) -> list[str]:
         elif types == {str}:
             texts.append(map(_quote, map(get, records)))
         elif types == {list} and set(map(type, chain.from_iterable(map(get, records)))) == {int}:
-            texts.append(map(_IntListTexts(inner).__getitem__, map(tuple, map(get, records))))
+            # exact ints only: a tuple key would let [True] reuse the text of [1]
+            int_list_text = cache(lambda items: _json_text(list(items), inner))
+            texts.append(map(int_list_text, map(tuple, map(get, records))))
         else:
             texts.append(map(_json_text, map(get, records), repeat(inner)))
         slots.append(_quote(k).replace("%", "%%") + ": " + slot)

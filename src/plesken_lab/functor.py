@@ -12,7 +12,14 @@ from collections import namedtuple
 from functools import cached_property
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
-from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    _is_hom,
+    enumerate_homs,
+    enumerate_subgroups,
+    identity_hom,
+)
 from .plesken import (
     HatLift,
     HatMap,
@@ -123,10 +130,10 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
 
     The composition law is checked in two parts:
 
-    (a) once per morphism f: i -> j, f's image table is a hom,
-        ``f(x*g) == f(x)*f(g)`` for every x of object i and every generator g
-        (the identity stands in for the empty generating set of the trivial
-        group), and its stored lift is exactly ``hat_map(f.image)``;
+    (a) once per morphism f: i -> j, f's image table is a hom, by the check of
+        ``validate_hom`` (``f(g*y) == f(g)*f(y)`` for every y of object i and
+        every generator g, and f fixes the identity), and its stored lift is
+        exactly ``hat_map(f.image)``;
     (b) once per composable pair f1: i -> j, f2: j -> k, the composite is a
         morphism of Hom(i, k), looked up by its generator images, which fix
         a hom.
@@ -143,22 +150,16 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
         ok = ident is not None and ident.is_identity_map()
         identity_results.append(IdentityLawResult(i, ok))
     gens = [obj.generators or (obj.identity,) for obj in objects]
-    columns = [tuple(zip(*obj.cayley)) for obj in objects]  # columns[i][g][x] == x*g
     exact = {}  # (a) on every morphism of the homset
     keys = {}  # generator images of every morphism of the homset
     homset_columns = {}  # homset_columns[i, j][x] == (f(x) for each f in Hom(i, j))
     for (i, j), homset in lifts.items():
-        gens_i, columns_i, columns_j = gens[i], columns[i], columns[j]
         exact[i, j] = all(
-            lift.action == hat_map(image, bases[i], bases[j])
-            and all(
-                tuple(map(image.__getitem__, columns_i[g]))
-                == tuple(map(columns_j[image[g]].__getitem__, image))
-                for g in gens_i
-            )
+            _is_hom(objects[i], objects[j], image)
+            and lift.action == hat_map(image, bases[i], bases[j])
             for image, lift in homset.items()
         )
-        keys[i, j] = {tuple(map(image.__getitem__, gens_i)) for image in homset}
+        keys[i, j] = {tuple(map(image.__getitem__, gens[i])) for image in homset}
         homset_columns[i, j] = list(zip(*homset))
     composition_results = []
     n = len(objects)

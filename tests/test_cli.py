@@ -237,11 +237,11 @@ _keys = st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", 
 
 
 def _records(children):
-    """Lists of two or more dicts with one shared key set: the writer's record path."""
+    """Lists of dicts with one shared key set: the writer's record path."""
     column = children | st.integers(0, 2) | st.booleans() | st.lists(st.integers(0, 3))
     return st.lists(_keys, max_size=4, unique=True).flatmap(
         lambda keys: st.lists(
-            st.fixed_dictionaries({k: column for k in keys}), min_size=2, max_size=6
+            st.fixed_dictionaries({k: column for k in keys}), min_size=1, max_size=6
         )
     )
 
@@ -256,7 +256,7 @@ _json_values = st.recursive(
     | st.just([]) | st.just({}),
     lambda children: st.lists(children)
     | st.lists(st.integers() | st.booleans())
-    | st.dictionaries(st.text() | _odd_strings, children)
+    | st.dictionaries(_keys, children)
     | _records(children),
     max_leaves=30,
 )
@@ -264,6 +264,8 @@ _json_values = st.recursive(
 
 @given(_json_values)
 @example([{}, {}])
+@example([{"a": 1}])
+@example({"%": 1, "%s": "%d", "a%(x)sb": [True, 1], "b": {}})
 @example([{"a": []}, {"a": [0]}])
 @example([{"%s": 1}, {"%s": True}])
 @example([{"k": [1]}, {"k": [True]}])
@@ -278,6 +280,9 @@ def test_json_text_matches_json_dumps(value):
     {1, 2},
     {1: "a"},
     {"rows": [0, 1, 2.0]},
+    {"k": 1.5},
+    {"%s": [1.0]},
+    {"k": 1, 2: "a"},
     [{"k": 0, "re": 0.5}],
     [{"k": 0, "re": 0.5}, {"k": 1, "re": "1"}],
     [{"k": 1}, {"k": 1.0}],

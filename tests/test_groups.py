@@ -177,6 +177,18 @@ def test_validate_hom(catalog):
     assert not validate_hom(GroupHom(C3, C3, (0, 1, 1)))
 
 
+@pytest.mark.parametrize("dom,cod", [
+    ("C1", "C3"), ("C3", "C3"), ("C2", "S3"), ("S3", "C3"), ("S3", "C2"), ("K4", "C6"),
+    ("C6", "K4"), ("D4", "C2"),
+])
+def test_validate_hom_agrees_with_every_pair_check(catalog, dom, cod):
+    G = catalog[dom] if dom in catalog else group_from_name(dom)
+    H = catalog[cod]
+    homs = set(all_hom_tables(G, H))
+    for image in itertools.product(range(H.order), repeat=G.order):
+        assert validate_hom(GroupHom(G, H, image)) == (image in homs), image
+
+
 @pytest.mark.parametrize("dom,cod,count", [
     ("C3", "C3", 3),
     ("K4", "C3", 1),
