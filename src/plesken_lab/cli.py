@@ -285,7 +285,10 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per container.
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per list.
+
+    Dicts go through ``_records_text``: a list of dicts that share one key set
+    fills one ``%`` template, and any other dict is a list of one record.
 
     ``json`` never uses its C encoder when ``indent`` is set, and its Python
     encoder yields one small string per token.  Only ``dict`` with ``str``
