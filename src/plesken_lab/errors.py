@@ -14,7 +14,7 @@ class ParseError(PleskenLabError):
 
 
 class IndexOutOfRange(PleskenLabError):
-    """Element index outside 0..order-1."""
+    """Element index or coordinate that is not an integer in range."""
 
 
 class SearchTooLarge(PleskenLabError):

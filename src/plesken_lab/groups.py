@@ -427,7 +427,14 @@ def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
 
 
 class GroupHom(_Frozen):
-    """Total map between groups, given by an image table on element indices."""
+    """A group homomorphism, given by its image table on element indices.
+
+    Every ``GroupHom`` is a hom: ``__init__`` reads the table and raises
+    ``InvalidHom`` unless ``validate_hom`` accepts it.  The homs the library
+    makes itself (``enumerate_homs``, ``identity_hom``, ``trivial_hom`` and
+    ``compose_homs``) are homs by how they are built, so ``_built_hom`` makes
+    them without reading or checking the table again.
+    """
 
     __slots__ = ("domain", "codomain", "image")
     _key = attrgetter(*__slots__)
@@ -447,31 +454,40 @@ class GroupHom(_Frozen):
         _set(self, "domain", domain)
         _set(self, "codomain", codomain)
         _set(self, "image", tuple(values))
+        if not validate_hom(self):
+            raise InvalidHom("image table is not a group homomorphism")
 
     def __call__(self, x: int) -> int:
         return self.image[x]
 
 
+def _built_hom(domain: FiniteGroup, codomain: FiniteGroup, image: tuple[int, ...]) -> GroupHom:
+    """The ``GroupHom`` of a table of ints that is a hom by construction, unchecked."""
+    f = object.__new__(GroupHom)
+    _set(f, "domain", domain)
+    _set(f, "codomain", codomain)
+    _set(f, "image", image)
+    return f
+
+
 def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(range(G.order)))
+    return _built_hom(G, G, tuple(range(G.order)))
 
 
 def trivial_hom(G: FiniteGroup, H: FiniteGroup) -> GroupHom:
-    return GroupHom(G, H, (H.identity,) * G.order)
+    return _built_hom(G, H, (H.identity,) * G.order)
 
 
 def validate_hom(h: GroupHom) -> bool:
-    """True iff the image table is multiplicative on every pair."""
-    return _is_hom(h.domain, h.codomain, h.image)
-
-
-def _is_hom(G: FiniteGroup, H: FiniteGroup, img: tuple[int, ...]) -> bool:
-    """True iff ``img`` is a hom G -> H, checked on the rows of G's generators.
+    """True iff ``h.image`` is a hom, checked on the rows of the domain's generators.
 
     The g with ``img[g*y] == img[g]*img[y]`` for every y are closed under
-    products once ``img`` fixes the identity, so they are all of G when they
-    include ``G.generators``: O(|G| * |generators|) instead of every pair.
+    products once ``img`` fixes the identity, so they are all of the domain
+    when they include its ``generators``: O(|G| * |generators|) instead of
+    every pair.  ``GroupHom.__init__`` runs it on every table it is given, so
+    it holds for every ``GroupHom``.
     """
+    G, H, img = h.domain, h.codomain, h.image
     if img[G.identity] != H.identity:
         return False
     image, rows = img.__getitem__, H.cayley
@@ -485,10 +501,7 @@ def compose_homs(f2: GroupHom, f1: GroupHom) -> GroupHom:
     """The composite x -> f2(f1(x)); f1 is applied first."""
     if f1.codomain != f2.domain:
         raise DomainMismatch("codomain of the first map must equal the domain of the second")
-    h = GroupHom(f1.domain, f2.codomain, tuple(f2.image[v] for v in f1.image))
-    if not validate_hom(h):
-        raise InvalidHom("composite map is not multiplicative")
-    return h
+    return _built_hom(f1.domain, f2.codomain, tuple(f2.image[v] for v in f1.image))
 
 
 def closure(G: FiniteGroup, elements) -> frozenset[int]:
@@ -593,7 +606,7 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
         table = _extend_generator_images(G, H, gens, images)
         if table is not None:
             tables.append(table)
-    return [GroupHom(G, H, t) for t in sorted(tables)]
+    return [_built_hom(G, H, t) for t in sorted(tables)]
 
 
 # ---------------------------------------------------------------------------

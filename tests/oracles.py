@@ -99,9 +99,7 @@ def composition_law_by_pairs(category) -> list[tuple[int, int, int, int, bool]]:
         for image1, lift1 in first.items():
             for image2, lift2 in second.items():
                 composite = composites.get(tuple(image2[x] for x in image1))
-                if composite is None or composite.action != compose_hat_maps(
-                    lift1.action, lift2.action
-                ):
+                if composite is None or composite != compose_hat_maps(lift1, lift2):
                     ok = False
         out.append((i, j, k, len(first) * len(second), ok))
     return out

@@ -34,7 +34,7 @@ from plesken_lab import (
     random_scalar,
     subgroup_category,
 )
-from conftest import CATALOG_SPECS, SMALL_CATALOG_SPECS
+from conftest import CATALOG_SPECS, CHILD_ENV, SMALL_CATALOG_SPECS
 from oracles import exact_rank, unitriangular_inverse_by_search
 
 
@@ -220,6 +220,7 @@ def test_criterion_9_cli_determinism():
                     [sys.executable, "-m", "plesken_lab", *argv],
                     capture_output=True,
                     check=False,
+                    env=CHILD_ENV,
                 )
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], argv

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import plesken_lab
 import plesken_lab.groups as groups
 from plesken_lab import element_to_json, group_from_name, lie_bracket, parse_element
 from plesken_lab.cli import _json_text, main
+from conftest import CHILD_ENV
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 
@@ -190,7 +190,7 @@ def test_workload_commands_print_the_frozen_bytes(capsys):
     (("plesken", "H5", "sc"), 100),  # 630 kB, more than a pipe holds: a write fails
 ])
 def test_broken_pipe_exits_141_without_a_traceback(argv, read_first):
-    env = dict(os.environ, PYTHONPATH=str(Path(plesken_lab.__file__).parents[1]))
+    env = dict(CHILD_ENV)
     env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, as by default
     read_end, write_end = os.pipe()
     if not read_first:

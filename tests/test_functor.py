@@ -6,8 +6,6 @@ import pytest
 
 from plesken_lab import (
     AlgebraElement,
-    GroupHom,
-    HatLift,
     SubgroupCategory,
     check_full,
     check_functor_laws,
@@ -96,7 +94,7 @@ def test_subgroup_category_invariants(catalog):
     for (i, j), homset in C.homsets.items():
         assert list(C.lifts[(i, j)]) == [f.image for f in homset]
         for f in homset:
-            assert C.lifts[(i, j)][f.image] == lift_hom_hat(f)
+            assert C.lifts[(i, j)][f.image] == lift_hom_hat(f).action
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -173,50 +171,20 @@ def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     C = subgroup_category(catalog["S3"])
     top, auto = _top_automorphism(C)
     lift = C.lifts[(top, top)][auto.image]
-    flipped = tuple(None if e is None else (e[0], -e[1]) for e in lift.action)
-    assert flipped != lift.action
-    C.lifts[(top, top)][auto.image] = HatLift(
-        auto, lift.domain_basis, lift.codomain_basis, flipped
-    )
+    flipped = tuple(None if e is None else (e[0], -e[1]) for e in lift)
+    assert flipped != lift
+    C.lifts[(top, top)][auto.image] = flipped
     report = _check_against_reference(C)
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
     assert _failing(report) == _touching(C, top, top)
 
     C = subgroup_category(catalog["S3"])
-    ident = C.lifts[(top, top)][identity_hom(C.objects[top]).image]
-    C.lifts[(top, top)][ident.hom.image] = HatLift(
-        ident.hom, ident.domain_basis, ident.codomain_basis, (None,) * len(ident.action)
-    )
+    ident = identity_hom(C.objects[top]).image
+    C.lifts[(top, top)][ident] = (None,) * len(C.lifts[(top, top)][ident])
     report = check_functor_laws(C)
     assert not report.identity[top].ok
     assert not report.all_hold
-
-
-def test_functor_laws_fail_on_a_non_hom_that_agrees_on_the_generators(catalog):
-    C = subgroup_category(catalog["S3"])
-    top, auto = _top_automorphism(C)
-    obj = C.objects[top]
-    x = next(x for x in range(obj.order) if x not in obj.generators and x != obj.identity)
-    image = list(auto.image)
-    image[x] = (image[x] + 1) % obj.order
-    fake = GroupHom(obj, obj, image)
-    homsets = dict(C.homsets)
-    homsets[(top, top)] = tuple(fake if f == auto else f for f in homsets[(top, top)])
-    C = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
-    report = _check_against_reference(C)
-    assert not report.all_hold
-    assert _failing(report) == _touching(C, top, top)
-
-    # the trivial group has no generators: a map of it is fixed by the image of e
-    C = subgroup_category(catalog["S3"])
-    assert C.objects[0].order == 1 and not C.objects[0].generators
-    homsets = dict(C.homsets)
-    S3 = C.objects[top]
-    homsets[(0, top)] += (GroupHom(C.objects[0], S3, ((S3.identity + 1) % S3.order,)),)
-    C = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
-    report = _check_against_reference(C)
-    assert _failing(report) == _touching(C, 0, top)
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])

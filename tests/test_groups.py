@@ -28,6 +28,7 @@ from plesken_lab import (
     trivial_hom,
     validate_hom,
 )
+from conftest import CHILD_ENV
 from oracles import all_hom_tables, all_subgroup_sets, compose_permutations
 
 
@@ -174,19 +175,50 @@ def test_validate_hom(catalog):
     C3, K4 = catalog["C3"], catalog["K4"]
     assert validate_hom(identity_hom(C3))
     assert validate_hom(trivial_hom(K4, C3))
-    assert not validate_hom(GroupHom(C3, C3, (0, 1, 1)))
+    with pytest.raises(InvalidHom, match="image table is not a group homomorphism"):
+        GroupHom(C3, C3, (0, 1, 1))
 
 
 @pytest.mark.parametrize("dom,cod", [
     ("C1", "C3"), ("C3", "C3"), ("C2", "S3"), ("S3", "C3"), ("S3", "C2"), ("K4", "C6"),
-    ("C6", "K4"), ("D4", "C2"),
+    ("C6", "K4"), ("D4", "C2"), ("K4", "K4"), ("S3", "S3"),
 ])
-def test_validate_hom_agrees_with_every_pair_check(catalog, dom, cod):
+def test_validate_hom_agrees_with_every_pair_check(catalog, small_catalog, dom, cod):
     G = catalog[dom] if dom in catalog else group_from_name(dom)
     H = catalog[cod]
     homs = set(all_hom_tables(G, H))
     for image in itertools.product(range(H.order), repeat=G.order):
-        assert validate_hom(GroupHom(G, H, image)) == (image in homs), image
+        if image in homs:
+            assert validate_hom(GroupHom(G, H, image)), image
+        else:
+            with pytest.raises(InvalidHom, match="not a group homomorphism"):
+                GroupHom(G, H, image)
+    # the homs the library builds unchecked are homs too
+    built = [*enumerate_homs(G, H), trivial_hom(G, H)]
+    if G == H:
+        built.append(identity_hom(G))
+    for K in small_catalog.values():
+        built += [
+            compose_homs(f2, f1) for f1 in enumerate_homs(G, K) for f2 in enumerate_homs(K, H)
+        ]
+    assert {f.image for f in built} <= homs
+
+
+def test_group_hom_refuses_a_map_that_agrees_on_the_generators(catalog):
+    S3 = catalog["S3"]
+    ident = identity_hom(S3).image
+    auto = next(f for f in enumerate_homs(S3, S3) if len(set(f.image)) == 6 and f.image != ident)
+    x = next(x for x in range(S3.order) if x not in S3.generators and x != S3.identity)
+    image = list(auto.image)
+    image[x] = (image[x] + 1) % S3.order
+    assert all(image[g] == auto.image[g] for g in S3.generators)
+    with pytest.raises(InvalidHom, match="not a group homomorphism"):
+        GroupHom(S3, S3, image)
+    # the trivial group has no generators: a map of it must still send e to e
+    C1 = group_from_name("C1")
+    assert not C1.generators
+    with pytest.raises(InvalidHom, match="not a group homomorphism"):
+        GroupHom(C1, S3, ((S3.identity + 1) % S3.order,))
 
 
 @pytest.mark.parametrize("dom,cod,count", [
@@ -413,7 +445,7 @@ def test_value_classes_are_immutable_and_compare_by_fields(catalog):
 
 def test_import_loads_no_numpy():
     code = "import sys, plesken_lab; assert 'numpy' not in sys.modules"
-    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], check=False, env=CHILD_ENV).returncode == 0
 
 
 def test_import_loads_no_dataclasses_or_inspect():
@@ -421,4 +453,4 @@ def test_import_loads_no_dataclasses_or_inspect():
         "import sys, plesken_lab, plesken_lab.cli; "
         "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules"
     )
-    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], check=False, env=CHILD_ENV).returncode == 0

@@ -52,6 +52,19 @@ def test_canonical_basis_shapes(catalog):
     assert canonical_basis(S4).dimension == (S4.order - involutions) // 2 == 7
 
 
+def test_element_keys_must_be_integers(catalog):
+    C3 = catalog["C3"]
+    basis = canonical_basis(C3)
+    for key in (1.5, "1"):
+        with pytest.raises(IndexOutOfRange, match=f"element index {key!r} is not an integer"):
+            AlgebraElement(C3, {key: 1})
+    with pytest.raises(IndexOutOfRange, match="coordinate 0.9 is not an integer"):
+        PleskenElement(basis, {0.9: 1})
+    read = AlgebraElement(C3, {True: 1}).coeffs
+    assert read == {1: ONE} and type(next(iter(read))) is int
+    assert PleskenElement(basis, {False: 1}).coords == {0: ONE}
+
+
 def test_dimension_formula_matches_rank_oracle(catalog):
     for spec in ("C6", "S3", "D4"):
         G = catalog[spec]
