@@ -2,7 +2,8 @@
 
 Scalars are pairs of arbitrary-precision rationals (a + b*i), so every
 algebraic identity downstream is checked with exact equality rather than
-floating-point tolerances.
+floating-point tolerances.  Group-algebra elements and the hat coordinates
+of ``plesken`` share one sparse-vector class, ``_Vector``.
 """
 
 from __future__ import annotations
@@ -114,83 +115,109 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"cannot parse rational {text!r}") from exc
 
 
-class AlgebraElement:
-    """Sparse element of a group algebra: finitely supported index -> Scalar map.
+class _Vector:
+    """Finitely supported map from the indices of a space to nonzero Scalars.
 
-    Stored coefficients are never zero, so equality of elements is equality
-    of the underlying maps.
+    The shared arithmetic of ``AlgebraElement`` and ``PleskenElement``.  Each
+    subclass names its space and map (aliases of the two slots below), how to
+    read the size of the space, the wording of its index errors and the error
+    raised when two operands live in different spaces.  Stored coefficients
+    are never zero, so equality of vectors is equality of the maps.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("_space", "_map")
 
-    def __init__(self, group: FiniteGroup, coeffs=None) -> None:
+    def __init__(self, space, entries=None) -> None:
+        size = self._size(space)
         clean: dict[int, Scalar] = {}
-        for g, c in (coeffs or {}).items():
+        for k, c in (entries or {}).items():
             try:
-                g = index(g)
+                k = index(k)
             except TypeError:
-                raise IndexOutOfRange(f"element index {g!r} is not an integer") from None
-            if not 0 <= g < group.order:
+                raise IndexOutOfRange(f"{self._index_name} {k!r} is not an integer") from None
+            if not 0 <= k < size:
                 raise IndexOutOfRange(
-                    f"element index {g} outside group of order {group.order}"
+                    f"{self._index_name} {k} outside {self._space_name} {size}"
                 )
-            if not isinstance(c, Scalar):
-                c = Scalar.of(c)
-            if c:
-                clean[g] = c
-        self.group = group
-        self.coeffs = clean
+            value = c if c.__class__ is Scalar else _coerce(c)
+            if value is None:
+                raise TypeError(
+                    f"coefficient {c!r} at {self._index_name} {k} "
+                    "is not a Scalar, int, or Fraction"
+                )
+            if value:
+                clean[k] = value
+        self._space = space
+        self._map = clean
 
     @classmethod
-    def zero(cls, group: FiniteGroup) -> "AlgebraElement":
-        return cls(group)
-
-    @classmethod
-    def basis(cls, group: FiniteGroup, g: int, coeff: Scalar = ONE) -> "AlgebraElement":
-        return cls(group, {g: coeff})
+    def zero(cls, space):
+        return cls(space)
 
     def terms(self) -> list[tuple[int, Scalar]]:
-        return sorted(self.coeffs.items())
-
-    def coefficient(self, g: int) -> Scalar:
-        return self.coeffs.get(g, ZERO)
+        return sorted(self._map.items())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._map
+
+    def _require_same_space(self, other: "_Vector") -> None:
+        if self._space != other._space:
+            raise self._mismatch(self._mismatch_text)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.group == other.group and self.coeffs == other.coeffs
+        return self._space == other._space and self._map == other._map
 
     __hash__ = None
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_group(self, other)
-        acc = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc[g] = acc.get(g, ZERO) + c
-        return AlgebraElement(self.group, acc)
+    def __add__(self, other):
+        self._require_same_space(other)
+        acc = dict(self._map)
+        for k, c in other._map.items():
+            acc[k] = acc.get(k, ZERO) + c
+        return self.__class__(self._space, acc)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+    def __sub__(self, other):
+        self._require_same_space(other)
+        acc = dict(self._map)
+        for k, c in other._map.items():
+            acc[k] = acc.get(k, ZERO) - c
+        return self.__class__(self._space, acc)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: -c for g, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return convolve(self, other)
-        k = _coerce(other)
-        if k is None:
-            return NotImplemented
-        return scale(k, self)
+    def __neg__(self):
+        return self.__class__(self._space, {k: -c for k, c in self._map.items()})
 
     def __rmul__(self, other):
         k = _coerce(other)
         if k is None:
             return NotImplemented
-        return scale(k, self)
+        return self.__class__(self._space, {i: k * c for i, c in self._map.items()})
+
+    __mul__ = __rmul__
+
+
+class AlgebraElement(_Vector):
+    """Sparse element of a group algebra: ``coeffs`` maps group indices to Scalars."""
+
+    __slots__ = ()
+    group = _Vector._space
+    coeffs = _Vector._map
+    _size = attrgetter("order")
+    _index_name, _space_name = "element index", "group of order"
+    _mismatch, _mismatch_text = GroupMismatch, "operands belong to different groups"
+
+    @classmethod
+    def basis(cls, group: FiniteGroup, g: int, coeff: Scalar = ONE) -> "AlgebraElement":
+        return cls(group, {g: coeff})
+
+    def coefficient(self, g: int) -> Scalar:
+        return self.coeffs.get(g, ZERO)
+
+    def __mul__(self, other):
+        if isinstance(other, AlgebraElement):
+            return convolve(self, other)
+        return self.__rmul__(other)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -210,25 +237,20 @@ class AlgebraElement:
         return f"AlgebraElement({self})"
 
 
-def _require_same_group(x: AlgebraElement, y: AlgebraElement) -> None:
-    if x.group != y.group:
-        raise GroupMismatch("operands belong to different groups")
-
-
 def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x + y
 
 
 def scale(k, x: AlgebraElement) -> AlgebraElement:
-    k = _coerce(k)
-    if k is None:
+    product = x.__rmul__(k)
+    if product is NotImplemented:
         raise TypeError("scale expects a Scalar, int, or Fraction")
-    return AlgebraElement(x.group, {g: k * c for g, c in x.coeffs.items()})
+    return product
 
 
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The group-algebra product: full bilinear expansion through the Cayley table."""
-    _require_same_group(x, y)
+    x._require_same_space(y)
     table = x.group.cayley
     acc: dict[int, Scalar] = {}
     for i, ci in x.coeffs.items():
@@ -281,31 +303,22 @@ def lift_hom_bar(f: GroupHom) -> BarLift:
 _COEFF_RE = re.compile(r"(?P<rat>[+-]?[0-9]+(?:/[0-9]+)?)?(?P<imag>i)?")
 
 
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+def _split_terms(text: str) -> list[tuple[int, str | None, str]]:
+    """Split an element expression into (sign, coefficient text or None, label) terms.
 
-
-def _split_terms(text: str) -> list[tuple[int, str]]:
+    One scan tracks the parenthesis depth; a term ends at a top-level sign and
+    its coefficient ends at its first top-level ``*``.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty element expression")
-    out: list[tuple[int, str]] = []
+    out: list[tuple[int, str | None, str]] = []
     i, n = 0, len(s)
     while i < n:
-        sign = 1
+        sign = -1 if s[i] == "-" else 1
         if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
             i += 1
-        start = i
-        depth = 0
+        start, star, depth = i, None, 0
         while i < n and (depth > 0 or s[i] not in "+-"):
             if s[i] == "(":
                 depth += 1
@@ -313,19 +326,25 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
                 depth -= 1
                 if depth < 0:
                     raise ParseError(f"unbalanced parentheses in {text!r}")
+            elif s[i] == "*" and depth == 0 and star is None:
+                star = i
             i += 1
         if depth != 0:
             raise ParseError(f"unbalanced parentheses in {text!r}")
-        chunk = s[start:i]
-        if not chunk:
+        if i == start:
             raise ParseError(f"missing term in {text!r}")
-        out.append((sign, chunk))
+        if star is None:
+            out.append((sign, None, s[start:i]))
+        else:
+            out.append((sign, s[start:star], s[star + 1 : i]))
     return out
 
 
 def _parse_coefficient(text: str) -> Scalar:
+    # ``text`` is balanced, so stripping outer parentheses either leaves text
+    # without any or leaves unbalanced text that _COEFF_RE refuses.
     t = text
-    while t.startswith("(") and t.endswith(")") and _balanced(t[1:-1]):
+    while t.startswith("(") and t.endswith(")"):
         t = t[1:-1]
     m = _COEFF_RE.fullmatch(t)
     if m is None or (m.group("rat") is None and m.group("imag") is None):
@@ -339,24 +358,10 @@ def _parse_coefficient(text: str) -> Scalar:
 def parse_element(group: FiniteGroup, text: str) -> AlgebraElement:
     """Parse expressions like ``2*e + (1/2)*a - i*a^2`` against the group's labels."""
     acc: dict[int, Scalar] = {}
-    for sign, chunk in _split_terms(text):
-        star = -1
-        depth = 0
-        for pos, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                star = pos
-                break
-        if star >= 0:
-            coeff = _parse_coefficient(chunk[:star])
-            label = chunk[star + 1 :]
-        else:
-            coeff, label = ONE, chunk
+    for sign, coeff_text, label in _split_terms(text):
+        coeff = ONE if coeff_text is None else _parse_coefficient(coeff_text)
         if not label:
-            raise ParseError(f"missing element label in term {chunk!r}")
+            raise ParseError(f"missing element label in term {coeff_text + '*'!r}")
         g = group.label_index.get(label)
         if g is None:
             raise ParseError(f"unknown element label {label!r}")

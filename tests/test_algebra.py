@@ -206,15 +206,36 @@ def test_parse_element_syntax(catalog):
     assert parse_element(C3, "a - a") .is_zero()
     assert parse_element(C3, "-a") == scale(Scalar.of(-1), parse_element(C3, "a"))
     assert parse_element(C3, "(-3/2)*a") == scale(Scalar.of(Fraction(-3, 2)), parse_element(C3, "a"))
+    assert parse_element(C3, "((1/2))*a") == parse_element(C3, "(1/2)*a")
     S4 = catalog["S4"]
     double = parse_element(S4, "(12)(34)")
     assert double.coefficient(S4.label_index["(12)(34)"]) == ONE
+    S3 = catalog["S3"]
+    assert parse_element(S3, "(12)*(123)") == AlgebraElement.basis(
+        S3, S3.label_index["(123)"], Scalar.of(12)
+    )
 
 
-@pytest.mark.parametrize("bad", ["", "q", "2*", "*a", "1//2*a", "((1/2*a", "a++a"])
+@pytest.mark.parametrize(
+    "bad", ["", "q", "2*", "*a", "1//2*a", "((1/2*a", "a++a", "(1)(2)*a", "2*("]
+)
 def test_parse_element_errors(catalog, bad):
     with pytest.raises(ParseError):
         parse_element(catalog["C3"], bad)
+
+
+def test_parse_element_error_messages(catalog):
+    # a coefficient ends at the first '*' outside parentheses
+    for bad, message in [
+        ("(2*3)*a", "cannot parse coefficient '(2*3)'"),
+        ("(1)(2)*a", "cannot parse coefficient '(1)(2)'"),
+        ("2*(", "unbalanced parentheses in '2*('"),
+        ("2*", "missing element label in term '2*'"),
+        ("a++a", "missing term in 'a++a'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_element(catalog["C3"], bad)
+        assert str(info.value) == message
 
 
 def test_element_json_round_trip(catalog):

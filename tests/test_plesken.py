@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from plesken_lab import (
     AlgebraElement,
     BasisMismatch,
+    GroupMismatch,
     IndexOutOfRange,
     InvalidPrime,
     NotInSpan,
@@ -63,6 +65,60 @@ def test_element_keys_must_be_integers(catalog):
     read = AlgebraElement(C3, {True: 1}).coeffs
     assert read == {1: ONE} and type(next(iter(read))) is int
     assert PleskenElement(basis, {False: 1}).coords == {0: ONE}
+
+
+def test_element_coefficients_must_be_exact(catalog):
+    C3 = catalog["C3"]
+    basis = canonical_basis(C3)
+    for value in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError, match=f"coefficient {value!r} at element index 0 "):
+            AlgebraElement(C3, {0: value})
+        with pytest.raises(TypeError, match=f"coefficient {value!r} at coordinate 0 "):
+            PleskenElement(basis, {0: value})
+    for x in (AlgebraElement(C3, {0: True}), PleskenElement(basis, {0: True})):
+        assert x.terms() == [(0, ONE)] and str(x.terms()[0][1]) == "1"
+
+
+SPACE_OF = {AlgebraElement: lambda G: G, PleskenElement: canonical_basis}
+VECTOR_ERRORS = {
+    AlgebraElement: (
+        3,
+        "element index 3 outside group of order 3",
+        GroupMismatch,
+        "operands belong to different groups",
+    ),
+    PleskenElement: (
+        1,
+        "coordinate 1 outside basis of dim 1",
+        BasisMismatch,
+        "operands use different bases",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SPACE_OF), ids=lambda cls: cls.__name__)
+def test_element_classes_share_vector_arithmetic(catalog, cls):
+    C3, C6 = catalog["C3"], catalog["C6"]
+    space, other_space = SPACE_OF[cls](C3), SPACE_OF[cls](C6)
+    size, outside, mismatch, text = VECTOR_ERRORS[cls]
+    with pytest.raises(IndexOutOfRange, match=f"^{outside}$"):
+        cls(space, {size: 1})
+    x = cls(space, {0: Scalar.of(2, 1)})
+    for op in (operator.add, operator.sub):
+        with pytest.raises(mismatch, match=f"^{text}$"):
+            op(x, cls(other_space, {0: 1}))
+    (foreign,) = set(SPACE_OF) - {cls}
+    assert cls.zero(space) != foreign.zero(SPACE_OF[foreign](C3))
+    assert not cls.zero(space) == foreign.zero(SPACE_OF[foreign](C3))
+    assert x != foreign(SPACE_OF[foreign](C3), {0: Scalar.of(2, 1)})
+    with pytest.raises(TypeError):
+        hash(x)
+    assert (x - x).is_zero() and x - x == cls.zero(space)
+    assert -x + x == cls.zero(space) and x.terms() == [(0, Scalar.of(2, 1))]
+    assert x != cls(space, {0: 2}) and x != cls(other_space, {0: Scalar.of(2, 1)})
+    for k in (3, Fraction(3), Scalar.of(3)):
+        assert k * x == x * k == cls(space, {0: Scalar.of(6, 3)})
+    assert Scalar.of(Fraction(1, 2), -1) * x == cls(space, {0: Scalar.of(2, Fraction(-3, 2))})
 
 
 def test_dimension_formula_matches_rank_oracle(catalog):
@@ -283,7 +339,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_against_search_oracle():
-    for p in (3, 5):
+    for p in (3, 5, 7, 11):
         for a in range(p):
             for b in range(p):
                 for c in range(p):
