@@ -172,6 +172,8 @@ class _Vector:
     __hash__ = None
 
     def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_space(other)
         acc = dict(self._map)
         for k, c in other._map.items():
@@ -179,6 +181,8 @@ class _Vector:
         return self.__class__(self._space, acc)
 
     def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_space(other)
         acc = dict(self._map)
         for k, c in other._map.items():

@@ -28,6 +28,8 @@ from .algebra import (
 from .errors import InvalidSpec, ParseError, PleskenLabError, SearchTooLarge
 from .functor import (
     CONVENTIONS,
+    CompositionLawResult,
+    FaithfulnessWitness,
     check_full,
     check_functor_laws,
     find_faithfulness_counterexample,
@@ -131,12 +133,10 @@ def _run_plesken(args) -> tuple[dict, int]:
         payload["basis"] = [G.labels[g] for g in basis.reps]
     if args.what == "sc":
         table = structure_constants(basis)
-        entries = [
-            {"k": k, "l": l, "m": m, "re": str(c), "im": "0"}
-            for (k, l), row in sorted(table.items())
-            for m, c in row.items()
+        rows = [
+            (k, l, m, str(c), "0") for (k, l), row in sorted(table.items()) for m, c in row.items()
         ]
-        payload["sc"] = entries
+        payload["sc"] = _Rows(("k", "l", "m", "re", "im"), rows)
     return payload, EXIT_OK
 
 
@@ -196,11 +196,7 @@ def _run_functor(args) -> tuple[dict, int]:
         payload["identity_law"] = [
             {"object": r.object_index, "ok": r.ok} for r in report.identity
         ]
-        payload["composition_law"] = [
-            {"source": r.source, "middle": r.middle, "target": r.target,
-             "pairs": r.pairs, "ok": r.ok}
-            for r in report.composition
-        ]
+        payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
         payload["object_map"] = samples
         payload["all_hold"] = report.all_hold
         if not (report.all_hold and samples["linear_ok"] and samples["in_span_ok"]):
@@ -218,11 +214,7 @@ def _run_functor(args) -> tuple[dict, int]:
             code = EXIT_LAW_VIOLATION
     else:
         witnesses = find_faithfulness_counterexample(category)
-        payload["witnesses"] = [
-            {"source": w.source, "target": w.target,
-             "image_a": list(w.image_a), "image_b": list(w.image_b)}
-            for w in witnesses
-        ]
+        payload["witnesses"] = _Rows(FaithfulnessWitness._fields, witnesses)
         payload["count"] = len(witnesses)
     return payload, code
 
@@ -284,17 +276,31 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
     return lines
 
 
+class _Rows(list):
+    """Records given as tuples of values under one tuple of field names.
+
+    ``_json_text`` writes it exactly as the list of ``dict(zip(fields, row))``,
+    without building those dicts; only here may a column of int lists hold
+    tuples of ints.
+    """
+
+    def __init__(self, fields: tuple[str, ...], rows) -> None:
+        super().__init__(rows)
+        self.fields = fields
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per list.
 
     Dicts go through ``_records_text``: a list of dicts that share one key set
-    fills one ``%`` template, and any other dict is a list of one record.
+    fills one ``%`` template, and any other dict is a list of one record.  A
+    ``_Rows`` value is written as its list of dicts, from the same template.
 
     ``json`` never uses its C encoder when ``indent`` is set, and its Python
     encoder yields one small string per token.  Only ``dict`` with ``str``
-    keys, ``list``, ``str``, ``int``, ``bool`` and ``None`` are written; any
-    other type, ``float`` included, raises ``TypeError`` (for a key, from
-    ``encode_basestring_ascii``).
+    keys, ``list``, ``_Rows``, ``str``, ``int``, ``bool`` and ``None`` are
+    written; any other type, ``float`` and ``tuple`` included, raises
+    ``TypeError`` (for a key, from ``encode_basestring_ascii``).
     """
     kind = type(value)
     if kind is str:
@@ -304,45 +310,53 @@ def _json_text(value, newline: str = "\n") -> str:
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"
     inner = newline + "  "
-    if kind is list:
+    if kind is list or kind is _Rows:
         if not value:
             return "[]"
-        types = set(map(type, value))
-        if types == {int}:
-            parts = map(int.__repr__, value)
-        elif types == {dict} and _share_keys(value):
-            parts = _records_text(value, inner)
+        if kind is _Rows:
+            parts = _records_text(value, inner, value.fields)
         else:
-            parts = [_json_text(v, inner) for v in value]
+            types = set(map(type, value))
+            if types == {int}:
+                parts = map(int.__repr__, value)
+            elif types == {dict} and _share_keys(value):
+                parts = _records_text(value, inner)
+            else:
+                parts = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if kind is not dict:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
-    return _records_text([value], newline)[0] if value else "{}"
+    return _records_text([value], newline)[0]
 
 
 def _share_keys(records: list) -> bool:
-    """True when every dict in ``records`` has the first one's keys, and it has some."""
+    """True when every dict in ``records`` has the first one's keys."""
     keys = records[0].keys()
-    return bool(keys) and all(map(keys.__eq__, map(dict.keys, records)))
+    return all(map(keys.__eq__, map(dict.keys, records)))
 
 
-def _records_text(records: list, newline: str) -> list[str]:
-    """``_json_text`` of each record, for dicts that share one non-empty key set.
+def _records_text(records, newline: str, fields: tuple[str, ...] | None = None) -> list[str]:
+    """``_json_text`` of each record: dicts that share one key set, or tuples under ``fields``.
 
     Each record fills one ``%`` template, so the per-record work runs in C.
     Each key's values are streamed, never stored as a column, and written
     by their exact types: an int column through ``%d``, a str column through
-    ``encode_basestring_ascii``, a column of int lists through a memo that
-    writes each distinct list once, and any other column (bools, mixed
-    types, nesting) through ``_json_text``, which refuses every type outside
-    the schema.
+    ``encode_basestring_ascii``, a column of int lists (or, for tuple
+    records, tuples) through a memo that writes each distinct list once, and
+    any other column (bools, mixed types, nesting) through ``_json_text``,
+    which refuses every type outside the schema.
     """
-    keys = sorted(records[0])
+    if fields is None:
+        getters, sequences = {k: itemgetter(k) for k in records[0]}, {list}
+    else:
+        getters, sequences = {k: itemgetter(p) for p, k in enumerate(fields)}, {list, tuple}
+    if not getters:
+        return ["{}"] * len(records)
     inner = newline + "  "
     slots = []
     texts = []
-    for k in keys:
-        get = itemgetter(k)
+    for k in sorted(getters):
+        get = getters[k]
         types = set(map(type, map(get, records)))
         slot = "%s"
         if types == {int}:
@@ -350,7 +364,9 @@ def _records_text(records: list, newline: str) -> list[str]:
             texts.append(map(get, records))
         elif types == {str}:
             texts.append(map(_quote, map(get, records)))
-        elif types == {list} and set(map(type, chain.from_iterable(map(get, records)))) == {int}:
+        elif types <= sequences and {int}.issuperset(
+            map(type, chain.from_iterable(map(get, records)))
+        ):
             # exact ints only: a tuple key would let [True] reuse the text of [1]
             int_list_text = cache(lambda items: _json_text(list(items), inner))
             texts.append(map(int_list_text, map(tuple, map(get, records))))

@@ -13,6 +13,7 @@ from functools import cached_property
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
+from .groups import _built_hom
 from .plesken import (
     HatLift,
     HatMap,
@@ -98,13 +99,26 @@ def _hat_maps(homset, src: PleskenBasis, dst: PleskenBasis) -> dict[tuple[int, .
 
 
 def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
+    """The category of the subgroups of ``ambient``, with every hom between them.
+
+    Many subgroups are one group on one Cayley table (S4's 30 have 13 tables),
+    and ``enumerate_homs`` reads only the two tables, their ``generators`` and
+    ``identity``, which the table fixes.  So the search runs once per ordered
+    pair of distinct tables, and each homset holds its own ``GroupHom``s
+    (``domain`` and ``codomain`` are its objects) on the shared image tables.
+    """
     objects = tuple(enumerate_subgroups(ambient))
     bases = tuple(canonical_basis(obj) for obj in objects)
-    homsets = {
-        (i, j): tuple(enumerate_homs(Gi, Gj))
-        for i, Gi in enumerate(objects)
-        for j, Gj in enumerate(objects)
-    }
+    tables: dict = {}
+    kinds = [tables.setdefault(obj.cayley, len(tables)) for obj in objects]
+    images: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    homsets = {}
+    for i, Gi in enumerate(objects):
+        for j, Gj in enumerate(objects):
+            found = images.get((kinds[i], kinds[j]))
+            if found is None:
+                found = images[kinds[i], kinds[j]] = [f.image for f in enumerate_homs(Gi, Gj)]
+            homsets[i, j] = tuple(_built_hom(Gi, Gj, t) for t in found)
     return SubgroupCategory(ambient, objects, bases, homsets)
 
 
@@ -136,6 +150,14 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
     a hom by type; under (a), (b) is the same as the pairwise law: the
     composite image table is a morphism, and its lift is the composite of
     the two integer hat maps.
+
+    (b) reads only the generators of i and the image tables of the three
+    homsets, so it runs once per distinct triple of homset contents, keyed by
+    (generators of i, image tables of Hom(i, j)); subgroups on one table give
+    many equal triples.  The key is the content, not the objects' tables, so
+    this holds for any category: a homset that lacks a composite its
+    equal-table twin has gets its own key and fails its own triples.  (a) and
+    the identity law still run per homset and per object.
     """
     objects, bases, homsets = category.objects, category.bases, category.homsets
     lifts = category.lifts
@@ -145,27 +167,33 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
         ok = ident == tuple((k, 1) for k in range(bases[i].dimension))
         identity_results.append(IdentityLawResult(i, ok))
     gens = [obj.generators or (obj.identity,) for obj in objects]
-    exact = {}  # (a) on the homset
-    keys = {}  # generator images of every morphism of the homset
-    homset_columns = {}  # homset_columns[i, j][x] == (f(x) for each f in Hom(i, j))
+    ids: dict = {}  # one content id per distinct (generators of i, image tables of Hom(i, j))
+    keys = []  # keys[c]: generator images of every morphism of content c
+    columns = []  # columns[c][x] == (f(x) for each morphism f of content c)
+    state = {}  # state[i, j] == (|Hom(i, j)|, its content id, (a) on it)
     for (i, j), homset in homsets.items():
-        images = [f.image for f in homset]
-        exact[i, j] = lifts[i, j] == _hat_maps(homset, bases[i], bases[j])
-        keys[i, j] = {tuple(map(image.__getitem__, gens[i])) for image in images}
-        homset_columns[i, j] = list(zip(*images))
-    composition_results = []
+        images = tuple(f.image for f in homset)
+        c = ids.setdefault((gens[i], images), len(ids))
+        if c == len(keys):
+            keys.append({tuple(map(image.__getitem__, gens[i])) for image in images})
+            columns.append(list(zip(*images)))
+        state[i, j] = len(homset), c, lifts[i, j] == _hat_maps(homset, bases[i], bases[j])
     n = len(objects)
-    for i in range(n):
-        for j in range(n):
-            size_ij = len(homsets[i, j])
-            for k in range(n):
-                size_jk = len(homsets[j, k])
-                ok = exact[i, j] and exact[j, k] and exact[i, k]
+    rows = [[state[i, j] for j in range(n)] for i in range(n)]
+    part_b = {}  # (b) depends on the three contents alone
+    composition_results = []
+    for i, row_i in enumerate(rows):
+        for j, (size_ij, c1, exact_ij) in enumerate(row_i):
+            for k, (size_jk, c2, exact_jk) in enumerate(rows[j]):
+                _, c12, exact_ik = row_i[k]
+                ok = exact_ij and exact_jk and exact_ik
                 if ok and size_jk:
-                    # each f1 checks all f2 at once: zip yields the composites' generator images
-                    found = keys[i, k].issuperset
-                    column = homset_columns[j, k].__getitem__
-                    ok = all(found(zip(*map(column, t1))) for t1 in keys[i, j])
+                    ok = part_b.get((c1, c2, c12))
+                    if ok is None:
+                        # each f1 checks all f2 at once: zip yields the composites' generator images
+                        found, column = keys[c12].issuperset, columns[c2].__getitem__
+                        ok = all(found(zip(*map(column, t1))) for t1 in keys[c1])
+                        part_b[c1, c2, c12] = ok
                 composition_results.append(CompositionLawResult(i, j, k, size_ij * size_jk, ok))
     return LawReport(tuple(identity_results), tuple(composition_results))
 

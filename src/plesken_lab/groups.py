@@ -242,7 +242,7 @@ class FiniteGroup:
 
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.order:
-            raise IndexOutOfRange(f"element index {x} outside 0..{self.order - 1}")
+            raise IndexOutOfRange(f"element index {x} outside group of order {self.order}")
 
     def __len__(self) -> int:
         return self.order

@@ -18,7 +18,7 @@ from .groups import FiniteGroup, GroupHom, _Frozen, _is_odd_prime, _set
 def hat(G: FiniteGroup, g: int) -> AlgebraElement:
     """The antisymmetrized element g - g^{-1}; zero for involutions and identity."""
     if not 0 <= g < G.order:
-        raise IndexOutOfRange(f"element index {g} outside 0..{G.order - 1}")
+        raise IndexOutOfRange(f"element index {g} outside group of order {G.order}")
     gi = G.inv[g]
     coeffs = {g: ONE}
     coeffs[gi] = coeffs.get(gi, ZERO) - ONE
@@ -174,8 +174,7 @@ HatMap = tuple[tuple[int, int] | None, ...]
 def hat_map(image, domain_basis: PleskenBasis, codomain_basis: PleskenBasis) -> HatMap:
     """Integer form of a hat lift: entry k is (m, +-1) when the k-th basis hat
     goes to +-e_m, None when it goes to zero; ``image`` is the hom's image table."""
-    position = codomain_basis.position
-    return tuple(position(image[g]) for g in domain_basis.reps)
+    return tuple(map(codomain_basis._positions.get, map(image.__getitem__, domain_basis.reps)))
 
 
 class HatLift(_Frozen):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import plesken_lab.groups as groups
 from plesken_lab import element_to_json, group_from_name, lie_bracket, parse_element
-from plesken_lab.cli import _json_text, main
+from plesken_lab.cli import _json_text, _Rows, main
 from conftest import CHILD_ENV
 from test_acceptance import ACCEPTANCE_COMMANDS
 
@@ -185,6 +185,27 @@ def test_workload_commands_print_the_frozen_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == frozen["stdout_sha256"], key
 
 
+# stdout sha256 of functor commands that perfbench/expected.json does not cover, frozen
+# before homsets shared one hom search per pair of distinct tables
+FROZEN_FUNCTOR_STDOUT = {
+    "functor check --ambient S4":
+        "256e402afcdd98fdd666ee9c84b4978ce64320c42f2b4fa334b606fa0ed68899",
+    "functor check --ambient H3":
+        "1133adccf6d04422502d1d4a604ed5d3b215db7f9ab7d703ace15009f60090f9",
+    "functor counterexample --ambient D6":
+        "146d903208869dca3bf8239d50761966704552e4c4078e8b88cb7adad20fb016",
+    "functor counterexample --ambient H3":
+        "ec36aa98ea95b5c9cc5cd012dcbb309ce4685472c458074383e1e5f37592698f",
+}
+
+
+@pytest.mark.parametrize("command", list(FROZEN_FUNCTOR_STDOUT))
+def test_functor_commands_print_the_frozen_bytes(capsys, command):
+    code, out = run_cli(capsys, *command.split(" "))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FUNCTOR_STDOUT[command]
+
+
 @pytest.mark.parametrize("argv,read_first", [
     (("group", "C2"), 0),  # stdout closed before the child writes: the flush fails
     (("plesken", "H5", "sc"), 100),  # 630 kB, more than a pipe holds: a write fails
@@ -274,6 +295,41 @@ def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# one column each: the writer takes its fast path when a column has one kind of value
+_row_columns = st.sampled_from([
+    st.integers(),
+    st.text() | _odd_strings,
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3)).map(tuple),
+    st.lists(st.integers(0, 3)),
+    st.dictionaries(_keys, st.integers() | st.lists(st.integers(0, 3)), max_size=2),
+    st.integers(0, 2) | st.booleans() | st.none() | st.text() | st.lists(st.booleans()),
+])
+
+
+@st.composite
+def _rows(draw):
+    """A ``_Rows`` value and the list of dicts it stands for."""
+    fields = tuple(draw(st.lists(_keys, max_size=4, unique=True)))
+    columns = [draw(_row_columns) for _ in fields]
+    rows = draw(st.lists(st.tuples(*columns), max_size=6))
+    return _Rows(fields, rows), [dict(zip(fields, row)) for row in rows]
+
+
+@given(_rows())
+@example((_Rows(("k", "%s"), [(1, (0, 1)), (2, (0, 1)), (3, ())]),
+          [{"k": 1, "%s": (0, 1)}, {"k": 2, "%s": (0, 1)}, {"k": 3, "%s": ()}]))
+@example((_Rows((), [(), ()]), [{}, {}]))
+@example((_Rows(("k",), [(1,), (True,)]), [{"k": 1}, {"k": True}]))
+@example((_Rows(("k",), [([1],), ((1,),)]), [{"k": [1]}, {"k": (1,)}]))
+def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
+    rows, dicts = rows_and_dicts
+    assert len(rows) == len(dicts)
+    for wrap in (lambda v: v, lambda v: {"payload": v, "count": 1}, lambda v: [v, [v]]):
+        assert _json_text(wrap(rows)) == json.dumps(wrap(dicts), indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [
     1.5,
     (1, 2),
@@ -291,6 +347,13 @@ def test_json_text_matches_json_dumps(value):
     [{"k": {"a": 1}}, {"k": {"a": 0.5}}],
     [{"k": 0}, {"k": (1,)}],
     [{1: "a"}, {1: "b"}],
+    _Rows(("k",), [(1,), (1.5,)]),
+    _Rows(("k",), [((0, 1),), ((0, 1.0),)]),
+    _Rows(("k",), [((0, True),)]),
+    _Rows(("k",), [((0, 1),), (2,)]),
+    _Rows(("k", "l"), [(0, {"a": [0.5]})]),
+    _Rows(("k",), [({"a": (1,)},)]),
+    {"payload": _Rows(("k",), [([1.0],)])},
 ])
 def test_json_text_refuses_types_outside_the_schema(value):
     with pytest.raises(TypeError):

@@ -187,6 +187,55 @@ def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     assert not report.all_hold
 
 
+def test_homsets_match_a_search_per_pair(catalog):
+    # one search per pair of distinct tables gives each pair its own search's homset
+    for spec, G in catalog.items():
+        C = subgroup_category(G)
+        for (i, j), homset in C.homsets.items():
+            searched = enumerate_homs(C.objects[i], C.objects[j])
+            assert [f.image for f in homset] == [f.image for f in searched], (spec, i, j)
+            assert all(f.domain is C.objects[i] for f in homset)
+            assert all(f.codomain is C.objects[j] for f in homset)
+
+
+def _c2_objects(C):
+    c2 = [i for i, obj in enumerate(C.objects) if obj.order == 2]
+    assert len(c2) == 3 and len({C.objects[i].cayley for i in c2}) == 1
+    return c2
+
+
+def test_law_sharing_keeps_equal_table_homsets_apart(catalog):
+    # S3's three C2 subgroups share one table, so their homsets share contents
+    C = subgroup_category(catalog["S3"])
+    a, b, c = _c2_objects(C)
+    homsets = dict(C.homsets)
+    iso = next(f for f in homsets[(a, b)] if f.image != (0, 0))
+    homsets[(a, b)] = tuple(f for f in homsets[(a, b)] if f is not iso)
+    D = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
+    report = check_functor_laws(D)
+    assert list(report.composition) == composition_law_by_pairs(D)
+    failing = _failing(report)
+    assert (a, c, b) in failing and (b, c, a) not in failing  # same tables, other homsets
+
+    C = subgroup_category(catalog["S3"])
+    image = C.homsets[(a, b)][0].image
+    C.lifts[(a, b)][image] = (None,)  # a C2 has no basis hat: the true lift is ()
+    # (a) fails every triple that reads Hom(a, b); the reference fails the 11 of these
+    # 16 whose pairs read the corrupted lift, and no others
+    report = _check_against_reference(C)
+    assert _failing(report) == _touching(C, a, b)
+    assert (b, c, a) not in _failing(report)
+
+
+@pytest.mark.parametrize("spec", ["C3", "C5", "C9", "C15", "H3"])
+def test_odd_order_ambients_are_faithful(spec):
+    # in an odd-order group only the identity is an involution, so g - g^-1 is zero only
+    # for g = e and fixes g otherwise: a hat lift fixes its hom, and distinct homs differ
+    G = group_from_name(spec)
+    assert G.involution_count() == 1
+    assert find_faithfulness_counterexample(subgroup_category(G)) == []
+
+
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])
 def test_functor_is_full(catalog, spec):
     report = check_full(subgroup_category(catalog[spec]))

@@ -165,9 +165,9 @@ def test_inverse_is_involution(catalog):
 
 def test_mul_and_inverse_bounds(catalog):
     C3 = catalog["C3"]
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="^element index 3 outside group of order 3$"):
         C3.mul(0, 3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="^element index -1 outside group of order 3$"):
         C3.inverse(-1)
 
 

@@ -39,7 +39,7 @@ def test_hat_examples(catalog):
     for x in range(K4.order):
         assert hat(K4, x).is_zero()
     assert hat(C3, 1) == parse_element(C3, "a - a^2")
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="^element index 3 outside group of order 3$"):
         hat(C3, 3)
 
 
@@ -119,6 +119,19 @@ def test_element_classes_share_vector_arithmetic(catalog, cls):
     for k in (3, Fraction(3), Scalar.of(3)):
         assert k * x == x * k == cls(space, {0: Scalar.of(6, 3)})
     assert Scalar.of(Fraction(1, 2), -1) * x == cls(space, {0: Scalar.of(2, Fraction(-3, 2))})
+
+
+@pytest.mark.parametrize("cls", list(SPACE_OF), ids=lambda cls: cls.__name__)
+def test_element_arithmetic_refuses_other_operands(catalog, cls):
+    C3 = catalog["C3"]
+    x = cls(SPACE_OF[cls](C3), {0: 1})
+    (foreign,) = set(SPACE_OF) - {cls}
+    for other in (1, Scalar.of(1), None, foreign(SPACE_OF[foreign](C3), {0: 1})):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(x, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, x)
 
 
 def test_dimension_formula_matches_rank_oracle(catalog):
