@@ -14,30 +14,12 @@ from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from random import Random
 
-from .algebra import (
-    Scalar,
-    element_to_json,
-    lie_bracket,
-    parse_element,
-    parse_fraction,
-    random_element,
-    random_scalar,
-)
 from .errors import InvalidSpec, ParseError, PleskenLabError, SearchTooLarge
-from .functor import (
-    CONVENTIONS,
-    CompositionLawResult,
-    FaithfulnessWitness,
-    check_full,
-    check_functor_laws,
-    find_faithfulness_counterexample,
-    object_map,
-    subgroup_category,
-)
-from .groups import GroupSpec, build_group, enumerate_homs
-from .plesken import canonical_basis, reduce, structure_constants
+from .groups import CONVENTIONS, GroupSpec, build_group, enumerate_homs
+
+# Each verb imports what it needs beyond `groups` inside its _run_* function, so
+# `group` and `homs` load no other module, and only `functor` loads `functor`.
 
 SCHEMA_VERSION = "1"
 
@@ -117,6 +99,8 @@ def _run_group(args) -> tuple[dict, int]:
 
 
 def _run_bracket(args) -> tuple[dict, int]:
+    from .algebra import element_to_json, lie_bracket, parse_element
+
     spec = GroupSpec.parse(args.spec)
     G = build_group(spec)
     x = parse_element(G, args.x)
@@ -125,6 +109,8 @@ def _run_bracket(args) -> tuple[dict, int]:
 
 
 def _run_plesken(args) -> tuple[dict, int]:
+    from .plesken import canonical_basis, structure_constants
+
     spec = GroupSpec.parse(args.spec)
     G = build_group(spec)
     basis = canonical_basis(G)
@@ -154,6 +140,12 @@ def _run_homs(args) -> tuple[dict, int]:
 
 
 def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dict:
+    from random import Random
+
+    from .algebra import random_element, random_scalar
+    from .functor import object_map
+    from .plesken import canonical_basis, reduce
+
     rng = Random(seed)
     basis = canonical_basis(G)
     linear_ok = True
@@ -181,6 +173,15 @@ def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dic
 
 
 def _run_functor(args) -> tuple[dict, int]:
+    from .functor import (
+        CompositionLawResult,
+        FaithfulnessWitness,
+        check_full,
+        check_functor_laws,
+        find_faithfulness_counterexample,
+        subgroup_category,
+    )
+
     spec = GroupSpec.parse(args.ambient)
     ambient = build_group(spec)
     category = subgroup_category(ambient)
@@ -247,6 +248,8 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
             "elements: " + " ".join(payload["labels"]),
         ]
     if verb == "bracket":
+        from .algebra import Scalar, parse_fraction
+
         terms = payload["terms"]
         if not terms:
             return ["result: 0"]
@@ -365,9 +368,10 @@ def _records_text(records, newline: str, fields: tuple[str, ...] | None = None) 
         elif types == {str}:
             texts.append(map(_quote, map(get, records)))
         elif types <= sequences and {int}.issuperset(
-            map(type, chain.from_iterable(map(get, records)))
+            map(type, chain.from_iterable({id(v): v for v in map(get, records)}.values()))
         ):
-            # exact ints only: a tuple key would let [True] reuse the text of [1]
+            # exact ints only: a tuple key would let [True] reuse the text of [1];
+            # rows share a few value objects, so each distinct object is read once
             int_list_text = cache(lambda items: _json_text(list(items), inner))
             texts.append(map(int_list_text, map(tuple, map(get, records))))
         else:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
-from .groups import _built_hom
+from .groups import CONVENTIONS, _built_hom
 from .plesken import (
     HatLift,
     HatMap,
@@ -22,8 +22,6 @@ from .plesken import (
     hat_map,
     lift_hom_hat,
 )
-
-CONVENTIONS = ("literal", "pairwise")
 
 
 def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement:

@@ -24,6 +24,8 @@ from .errors import (
 SUBGROUP_ORDER_LIMIT = 64
 HOM_SEARCH_LIMIT = 10**7
 GROUP_ORDER_LIMIT = 2048  # a table holds order**2 entries
+# conventions of functor.object_map; kept here so the CLI can list them without functor
+CONVENTIONS = ("literal", "pairwise")
 
 _SPEC_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral", "H": "heisenberg"}
 _KIND_LETTERS = {v: k for k, v in _SPEC_KINDS.items()}
@@ -586,9 +588,12 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
     A hom sends each generator g to an element whose order divides g's order,
     so only those images are tried (the backtrack search of Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*).  Every choice of images
-    for ``G.generators`` is propagated along the Cayley graph, checking each
-    edge ``x -> x*g``.  A table that passes has
+    O'Brien, *Handbook of Computational Group Theory*).  It also sends each
+    product g_i*g_j of two generators to h_i*h_j, so a choice of images where
+    the order of h_i*h_j does not divide that of g_i*g_j is skipped: it would
+    fail the extension below anyway, and no result changes.  Every other
+    choice of images for ``G.generators`` is propagated along the Cayley graph,
+    checking each edge ``x -> x*g``.  A table that passes has
     ``img(x*g1*...*gk) = img(x)*h1*...*hk``, so it is multiplicative, and
     distinct generator images give distinct tables: no further check is needed.
     """
@@ -601,8 +606,16 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     candidates = [
         [h for h in range(H.order) if orders_G[g] % orders_H[h] == 0] for g in gens
     ]
+    # order(x*y) == order(y*x), so one of each unordered pair of generators is enough
+    pairs = [
+        (i, j, orders_G[G.cayley[gens[i]][gens[j]]])
+        for i, j in itertools.combinations(range(len(gens)), 2)
+    ]
+    rows_H = H.cayley
     tables = []
     for images in itertools.product(*candidates):
+        if any(m % orders_H[rows_H[images[i]][images[j]]] for i, j, m in pairs):
+            continue
         table = _extend_generator_images(G, H, gens, images)
         if table is not None:
             tables.append(table)

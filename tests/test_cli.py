@@ -360,6 +360,20 @@ def test_json_text_refuses_types_outside_the_schema(value):
         _json_text(value)
 
 
+@pytest.mark.parametrize("bad", [[True], (1, 2.0), [[1.5]], (True,)])
+def test_int_list_column_checks_each_shared_value(bad):
+    # the exact-int check reads each distinct value object once, however often rows share it
+    good = (0, 1)
+    with pytest.raises(TypeError):
+        _json_text(_Rows(("k",), [(good,), (bad,), (bad,), (good,)]))
+
+
+def test_int_list_column_writes_shared_bools_as_bools():
+    bools = [True]
+    records = [{"k": [0, 1]}, {"k": bools}, {"k": bools}]
+    assert _json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+
+
 def test_text_mode(capsys):
     code, out = run_cli(capsys, "group", "S3", "--format", "text")
     assert code == 0

@@ -272,6 +272,43 @@ def test_enumerate_homs_exhaustive_against_map_search(catalog, dom, cod):
     assert found == set(all_hom_tables(G, H))
 
 
+# (tuples left by the order check, tuples the generator-pair check skips)
+PAIR_PRUNED = {
+    ("K4", "S3"): (16, 6), ("K4", "D4"): (36, 8), ("S3", "S3"): (12, 2),
+    ("S3", "C6"): (6, 4), ("D4", "C4"): (8, 4),
+}
+
+
+def _count_extensions(monkeypatch) -> list[int]:
+    calls = [0]
+    extend = groups._extend_generator_images
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(groups, "_extend_generator_images", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dom,cod", sorted(PAIR_PRUNED))
+def test_generator_pair_check_skips_tuples_and_keeps_every_hom(catalog, monkeypatch, dom, cod):
+    G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
+    calls = _count_extensions(monkeypatch)
+    found = {f.image for f in enumerate_homs(G, H)}
+    assert found == set(all_hom_tables(G, H))
+    tried, skipped = PAIR_PRUNED[dom, cod]
+    assert calls[0] == tried - skipped
+
+
+def test_generator_pair_check_bounds_the_s5_search(monkeypatch):
+    # the order check alone leaves 1,716 tuples to extend
+    S5 = group_from_name("S5")
+    calls = _count_extensions(monkeypatch)
+    assert len(enumerate_homs(S5, S5)) == 146
+    assert calls[0] <= 386
+
+
 def test_s5_endomorphism_count():
     # 1 trivial, 25 through the sign map onto the 25 involutions, 120 automorphisms
     S5 = group_from_name("S5")

@@ -1,0 +1,135 @@
+"""The public namespace, and which modules importing the package and each verb load."""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import plesken_lab
+import plesken_lab.functor as functor
+from plesken_lab.cli import _build_parser
+from conftest import CHILD_ENV
+
+PUBLIC_NAMES = {
+    "algebra": (
+        "AlgebraElement", "BarLift", "Scalar", "add", "convolve", "element_from_json",
+        "element_to_json", "lie_bracket", "lift_hom_bar", "parse_element", "random_element",
+        "random_scalar", "scale",
+    ),
+    "errors": (
+        "BasisMismatch", "DomainMismatch", "GroupMismatch", "IndexOutOfRange", "InvalidHom",
+        "InvalidPrime", "InvalidSpec", "NotInSpan", "ParseError", "PleskenLabError",
+        "SearchTooLarge",
+    ),
+    "functor": (
+        "FaithfulnessWitness", "FullnessReport", "LawReport", "SubgroupCategory", "check_full",
+        "check_functor_laws", "find_faithfulness_counterexample", "morphism_map", "object_map",
+        "subgroup_category",
+    ),
+    "groups": (
+        "FiniteGroup", "GroupHom", "GroupSpec", "build_group", "compose_homs", "enumerate_homs",
+        "enumerate_subgroups", "group_from_name", "identity_hom", "trivial_hom", "validate_hom",
+    ),
+    "plesken": (
+        "HatLift", "PleskenBasis", "PleskenElement", "bracket_expansion_check",
+        "canonical_basis", "embed", "hat", "heisenberg_hat_closed_form", "lift_hom_hat",
+        "plesken_bracket", "reduce", "structure_constants",
+    ),
+}
+ALL_NAMES = sorted(name for names in PUBLIC_NAMES.values() for name in names)
+HEAVY = ("plesken_lab.algebra", "plesken_lab.plesken", "plesken_lab.functor", "fractions")
+
+# runs `python -m plesken_lab <argv>`, then writes the loaded module names to stderr
+RUN_VERB = """
+import runpy, sys
+sys.argv[1:] = {argv!r}
+try:
+    runpy.run_module("plesken_lab", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+sys.stderr.write(" ".join(sorted(sys.modules)))
+"""
+
+
+def loaded_by(code: str) -> set[str]:
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False, env=CHILD_ENV
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stderr.split())
+
+
+def test_pinned_list_has_57_names():
+    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 57
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_each_public_name_is_its_module_attribute(module):
+    source = importlib.import_module(f"plesken_lab.{module}")
+    for name in PUBLIC_NAMES[module]:
+        assert getattr(plesken_lab, name) is getattr(source, name), name
+
+
+def test_all_and_dir_list_every_public_name():
+    assert sorted(plesken_lab.__all__) == ALL_NAMES
+    assert set(ALL_NAMES) <= set(dir(plesken_lab))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from plesken_lab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'plesken_lab' has no attribute 'no_such_name'"):
+        plesken_lab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from plesken_lab import no_such_name", {})
+
+
+def test_convention_choices_are_the_functor_conventions():
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for verb in verbs.choices.values():
+        assert verb._option_string_actions["--convention"].choices is functor.CONVENTIONS
+
+
+def test_import_loads_no_submodule():
+    loaded = loaded_by("import sys, plesken_lab; sys.stderr.write(' '.join(sys.modules))")
+    assert {m for m in loaded if m.startswith("plesken_lab.")} == set()
+
+
+def test_library_modules_load_as_attributes():
+    loaded = loaded_by(
+        "import sys, plesken_lab\n"
+        "assert plesken_lab.functor is sys.modules['plesken_lab.functor']\n"
+        "sys.stderr.write(' '.join(sys.modules))"
+    )
+    assert "plesken_lab.plesken" in loaded and "plesken_lab.cli" not in loaded
+
+
+def test_every_module_loads_no_numpy_dataclasses_or_inspect():
+    loaded = loaded_by(
+        "import sys\nfrom plesken_lab import *\nimport plesken_lab.cli\n"
+        "sys.stderr.write(' '.join(sys.modules))"
+    )
+    assert "plesken_lab.functor" in loaded
+    assert {"numpy", "dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["group", "C2"], HEAVY),
+    (["homs", "C3", "C3"], HEAVY),
+    (["plesken", "S3", "dim"], ("plesken_lab.functor",)),
+    (["bracket", "C3", "e+a", "e+a^2"], ("plesken_lab.functor",)),
+])
+def test_each_verb_loads_only_its_modules(argv, unused):
+    loaded = loaded_by(RUN_VERB.format(argv=argv))
+    assert "plesken_lab.cli" in loaded
+    assert set(unused).isdisjoint(loaded), sorted(set(unused) & loaded)
+
