@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from _json import encode_basestring_ascii as _quote  # the C function json.encoder exports
 from functools import cache
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .errors import InvalidSpec, ParseError, PleskenLabError, SearchTooLarge

@@ -29,24 +29,18 @@ def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement
 
     ``literal`` sums (a_g - a_{g^{-1}})(g - g^{-1}) over every group element,
     so each non-involution pair contributes twice; ``pairwise`` sums over
-    canonical representatives only and differs by that factor of two.
+    canonical representatives only and differs by that factor of two.  Each
+    pair {g, g^{-1}} is visited once, from its smaller index.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    G = x.group
-    candidates = sorted(set(x.coeffs) | {G.inv[g] for g in x.coeffs})
-    if convention == "pairwise":
-        candidates = [g for g in candidates if g < G.inv[g]]
+    G, k = x.group, 2 if convention == "literal" else 1
     acc: dict[int, Scalar] = {}
-    for g in candidates:
+    for g in {min(g, G.inv[g]) for g in x.coeffs}:
         gi = G.inv[g]
-        if gi == g:
-            continue
         c = x.coeffs.get(g, ZERO) - x.coeffs.get(gi, ZERO)
-        if not c:
-            continue
-        acc[g] = acc.get(g, ZERO) + c
-        acc[gi] = acc.get(gi, ZERO) - c
+        if gi != g and c:
+            acc[g], acc[gi] = k * c, -k * c
     return AlgebraElement(G, acc)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator, Sequence
 from math import gcd
 from operator import attrgetter, index, itemgetter
 
@@ -112,34 +113,26 @@ class GroupSpec(_Frozen):
 
 
 def _validate_table(G: FiniteGroup) -> None:
-    """Check that ``G.cayley`` is a group table; set ``identity``, ``inv`` and ``generators``.
+    """Set ``G.identity``, ``inv`` and ``generators``, checking that ``G``'s rows make a group.
 
-    Rows and columns must be permutations of ``0..n-1``, with exactly one
-    two-sided identity and two-sided inverses.  Associativity is exact, by
-    Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups*,
-    vol. I): the g with ``(x*g)*y == x*(g*y)`` for all x, y are closed under
-    products, so it suffices to check each g in ``generating_set(G)``, whose
-    right-multiples reach every element on any table: O(n^2 * |generators|).
+    Rows arrive as permutations of ``0..n-1``.  ``identity`` is the two-sided
+    identity e (there is at most one: e == e*f == f), and ``inv[x]`` is where e
+    sits in row x, so x*inv[x] == e.  Associativity is exact, by Light's test
+    (Clifford and Preston, *The Algebraic Theory of Semigroups*, vol. I): the g
+    with ``(x*g)*y == x*(g*y)`` for all x, y are closed under products, so it
+    suffices to check each g in ``generating_set(G)``, whose right-multiples
+    reach every element on any table: O(n^2 * |generators|).  Nothing else can
+    fail then: an associative table with a two-sided identity and right inverses
+    is a group, as x*x' == e and x'*x'' == e give x'*x == x'*x*x'*x'' == e, and
+    then y*a == b has the one solution b*inv[a], so every column is a permutation.
     """
     rows, n = G.cayley, G.order
-    if any(len(row) != n for row in rows):
-        raise ValueError("Cayley table must be square")
-    # entries are canonical ints in 0..n-1, so n distinct ones make a permutation
-    for kind, lines in (("row", rows), ("column", zip(*rows))):
-        for i, line in enumerate(lines):
-            if len(set(line)) != n:
-                raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
     ident = tuple(range(n))
-    units = [
-        x for x in range(n) if rows[x] == ident and tuple(row[x] for row in rows) == ident
-    ]
-    if len(units) != 1:
+    units = (x for x in ident if rows[x] == ident and tuple(row[x] for row in rows) == ident)
+    e = G.identity = next(units, None)
+    if e is None:
         raise ValueError("table does not have exactly one two-sided identity")
-    e = G.identity = units[0]
     G.inv = tuple(row.index(e) for row in rows)
-    for x, x_inv in enumerate(G.inv):
-        if rows[x_inv][x] != e:
-            raise ValueError(f"element {x} lacks a two-sided inverse")
     G.generators = tuple(generating_set(G))
     for g in G.generators:
         row_g = rows[g]
@@ -151,10 +144,10 @@ def _validate_table(G: FiniteGroup) -> None:
                 raise ValueError(f"associativity fails: (x*g)*y != x*(g*y) at {x=}, {g=}, {y=}")
 
 
-def _read_embedding(embedding, order: int, ambient: "FiniteGroup | None") -> tuple[int, ...]:
-    """``embedding`` as distinct elements of ``ambient``, one per element of the subgroup.
+def _read_embedding(G: FiniteGroup, embedding, ambient: "FiniteGroup | None") -> tuple[int, ...]:
+    """``embedding`` as a tuple, checked to be an injective hom from ``G`` into ``ambient``.
 
-    Each error names the entry at fault.
+    Its image is then a subgroup.  Each error about an entry names the entry.
     """
     if ambient is None:
         raise ValueError("an embedding needs an ambient group")
@@ -167,20 +160,23 @@ def _read_embedding(embedding, order: int, ambient: "FiniteGroup | None") -> tup
         if not 0 <= v < ambient.order:
             raise ValueError(f"embedding entry {i} is {v}, outside 0..{ambient.order - 1}")
         entries.append(v)
-    if len(entries) != order:
-        raise ValueError(f"embedding has {len(entries)} entries, expected {order}")
-    if len(set(entries)) != order:
+    if len(entries) != G.order:
+        raise ValueError(f"embedding has {len(entries)} entries, expected {G.order}")
+    if len(set(entries)) != G.order:
         i = next(i for i, v in enumerate(entries) if v in entries[:i])
         raise ValueError(f"embedding entry {i} repeats {entries[i]}")
+    if not _is_hom(G, ambient, entries):
+        raise ValueError("embedding is not a homomorphism into the ambient group")
     return tuple(entries)
 
 
 class FiniteGroup:
     """A finite group on indices ``0..order-1`` with precomputed tables.
 
-    Checked exactly when built (``_validate_table``, which also stores the
-    greedy ``generators``) and immutable after.  Subgroups carry ``ambient``
-    and ``embedding`` so each local index maps back into the parent group.
+    Built from any iterable of rows, each read once and checked to be a
+    permutation of ``0..n-1``; ``_validate_table`` checks the rest and stores
+    the greedy ``generators``.  Immutable after.  Subgroups carry ``ambient``
+    and an ``embedding``, an injective hom back into the parent group.
     """
 
     __slots__ = (
@@ -204,29 +200,35 @@ class FiniteGroup:
         ambient: "FiniteGroup | None" = None,
         embedding=None,
     ) -> None:
-        cayley = tuple(cayley)
-        n = len(cayley)
+        rows = iter(cayley)
+        first = tuple(next(rows, ()))  # n comes from the first row
+        n = len(first)
         if not n:
             raise ValueError("a group needs at least the identity element")
         # one shared int object per value; a non-integral or out-of-range entry has no key
         canonical = dict(zip(range(n), range(n))).__getitem__
-        rows = []
-        for i, row in enumerate(cayley):
+        table = []
+        for i, row in enumerate(itertools.chain((first,), rows)):
             try:
-                rows.append(tuple(map(canonical, row)))
+                row = tuple(map(canonical, row))
             except (KeyError, TypeError):
                 raise ValueError(f"row {i} is not a permutation of 0..{n - 1}") from None
+            if len(row) != n:
+                raise ValueError("Cayley table must be square")
+            if len(set(row)) != n:
+                raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
+            table.append(row)
+        if len(table) != n:
+            raise ValueError("Cayley table must be square")
         self.order = n
-        self.cayley = tuple(rows)
+        self.cayley = tuple(table)
         _validate_table(self)
-        if labels is None:
-            labels = [str(i) for i in range(self.order)]
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = tuple(map(str, range(n) if labels is None else labels))
         if len(self.labels) != self.order:
             raise ValueError("labels length does not match group order")
         self.spec = spec
         self.ambient = ambient
-        self.embedding = None if embedding is None else _read_embedding(embedding, n, ambient)
+        self.embedding = None if embedding is None else _read_embedding(self, embedding, ambient)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     def mul(self, x: int, y: int) -> int:
@@ -319,11 +321,11 @@ def _power_label(base: str, k: int) -> str:
 
 def _rows_by_right_multiplication(
     order: int, generators: list[tuple[int, tuple[int, ...]]]
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Every row of a table with identity 0, grown from (s, row of s) for generators s.
 
     Right multiplication by s: x*s = row(x)[s] and row(x*s) = row(x)[row(s)].  All
-    rows share the int objects of the identity row.
+    rows share the int objects of the identity row, and each is dropped once read.
     """
     rows = {0: tuple(range(order))}
     steps = [(s, itemgetter(*row_s)) for s, row_s in generators]
@@ -335,13 +337,13 @@ def _rows_by_right_multiplication(
             if xs not in rows:
                 rows[xs] = times_row_s(row_x)
                 stack.append(xs)
-    return [rows[x] for x in range(order)]
+    return map(rows.pop, range(order))
 
 
 def _cyclic_group(spec: GroupSpec) -> FiniteGroup:
     n = spec.param
     line = tuple(range(n)) * 2
-    cayley = [line[i : i + n] for i in range(n)]  # rotations share one int per value
+    cayley = (line[i : i + n] for i in range(n))  # rotations share one int per value
     labels = [_power_label("a", k) for k in range(n)]
     return FiniteGroup(cayley, labels, spec)
 
@@ -489,7 +491,11 @@ def validate_hom(h: GroupHom) -> bool:
     every pair.  ``GroupHom.__init__`` runs it on every table it is given, so
     it holds for every ``GroupHom``.
     """
-    G, H, img = h.domain, h.codomain, h.image
+    return _is_hom(h.domain, h.codomain, h.image)
+
+
+def _is_hom(G: FiniteGroup, H: FiniteGroup, img: Sequence[int]) -> bool:
+    """``validate_hom`` on a bare image table; ``FiniteGroup`` checks embeddings with it."""
     if img[G.identity] != H.identity:
         return False
     image, rows = img.__getitem__, H.cayley
@@ -628,7 +634,7 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
 def _as_subgroup(G: FiniteGroup, members: list[int]) -> FiniteGroup:
     pos = {g: i for i, g in enumerate(members)}
-    cayley = [[pos[G.cayley[x][y]] for y in members] for x in members]
+    cayley = ([pos[G.cayley[x][y]] for y in members] for x in members)
     labels = [G.labels[g] for g in members]
     return FiniteGroup(cayley, labels, spec=None, ambient=G, embedding=tuple(members))
 

@@ -3,8 +3,8 @@
 Nothing here reuses the library's search or reduction code paths: ranks come
 from plain Fraction elimination, homomorphism sets from exhaustive map
 search, subgroup sets from full subset closure, matrix inverses from
-search over the whole matrix group, and the functor's composition law from
-every composable pair.
+search over the whole matrix group, the functor's composition law from
+every composable pair, and the group axioms from every triple of a table.
 """
 
 from __future__ import annotations
@@ -33,6 +33,25 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def is_group_table(t) -> bool:
+    """The group axioms on an n x n table over ``0..n-1``, every triple checked.
+
+    A two-sided identity, a two-sided inverse for each element and
+    ``(x*y)*z == x*(y*z)`` for all n^3 triples.
+    """
+    n = len(t)
+    r = range(n)
+    if not n or any(len(row) != n or not all(v in r for v in row) for row in t):
+        return False
+    units = [e for e in r if all(t[e][x] == x == t[x][e] for x in r)]
+    if len(units) != 1:
+        return False
+    e = units[0]
+    if not all(any(t[x][y] == e == t[y][x] for y in r) for x in r):
+        return False
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r)
 
 
 def compose_permutations(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import subprocess
 import sys
+import tracemalloc
+from random import Random
 
 import pytest
 
@@ -29,7 +31,7 @@ from plesken_lab import (
     validate_hom,
 )
 from conftest import CHILD_ENV
-from oracles import all_hom_tables, all_subgroup_sets, compose_permutations
+from oracles import all_hom_tables, all_subgroup_sets, compose_permutations, is_group_table
 
 
 def assert_group_axioms(G: FiniteGroup) -> None:
@@ -425,6 +427,78 @@ def test_direct_table_construction_rejects_bad_tables():
             FiniteGroup(t)
 
 
+def test_right_zero_table_has_no_two_sided_identity():
+    # x*y = y: associative and every row a permutation, but no right identity
+    with pytest.raises(ValueError, match="two-sided identity"):
+        FiniteGroup([[0, 1, 2]] * 3)
+
+
+def test_table_may_be_any_iterable_of_rows(catalog):
+    C3 = catalog["C3"]
+    assert FiniteGroup(iter(C3.cayley)) == C3
+    assert FiniteGroup(list(row) for row in C3.cayley) == C3
+    with pytest.raises(ValueError, match="square"):
+        FiniteGroup(iter(C3.cayley[:2]))
+
+
+def _tables_to_classify(rng: Random):
+    """Every table of order <= 3, then seeded random tables of orders 4 to 8.
+
+    The random ones are tables whose rows are permutations, tables with
+    identity 0 whose other rows are permutations, and relabelled catalog groups
+    with one pair of entries swapped in a row, or not.
+    """
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            yield [list(entries[i : i + n]) for i in range(0, n * n, n)]
+    groups_4_to_8 = [group_from_name(s) for s in ("C4", "K4", "C5", "S3", "C6", "C7", "D4", "C8")]
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        yield [rng.sample(range(n), n) for _ in range(n)]
+        rows = [list(range(n))]
+        for x in range(1, n):
+            rest = rng.sample([v for v in range(n) if v != x], n - 1)
+            rows.append([x, *rest])
+        yield rows
+        G = rng.choice(groups_4_to_8)
+        n = G.order
+        relabel = rng.sample(range(n), n)
+        back = {v: i for i, v in enumerate(relabel)}
+        t = [[relabel[G.cayley[back[x]][back[y]]] for y in range(n)] for x in range(n)]
+        yield [row[:] for row in t]
+        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        t[x][y], t[x][z] = t[x][z], t[x][y]
+        yield t
+
+
+def test_table_check_agrees_with_brute_force_axioms():
+    accepted = rejected = 0
+    for t in _tables_to_classify(Random(20260412)):
+        try:
+            FiniteGroup(t)
+        except ValueError:
+            ok = False
+        else:
+            ok = True
+        assert ok == is_group_table(t), t
+        accepted += ok
+        rejected += not ok
+    assert accepted > 200 and rejected > 20_000
+
+
+@pytest.mark.parametrize("spec", ["C512", "D256", "H7", "S6"])
+def test_built_group_holds_one_table_at_peak(spec):
+    group_from_name("C2")  # any one-time allocations of the first build
+    tracemalloc.start()
+    try:
+        G = group_from_name(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order > 300
+    assert peak <= 1.25 * held, (peak, held)
+
+
 def test_hom_image_entries_must_be_integers(catalog):
     C2 = catalog["C2"]
     for image, entry in (((0, 1.9), 1), (("0", 1), 0), ((0, None), 1)):
@@ -448,8 +522,18 @@ def test_embedding_entries_are_checked(catalog):
             FiniteGroup(C2.cayley, ambient=C4, embedding=embedding)
     with pytest.raises(ValueError, match="needs an ambient group"):
         FiniteGroup(C2.cayley, embedding=(0, 2))
-    assert FiniteGroup(C2.cayley, ambient=C4, embedding=(0, True)).embedding == (0, 1)
+    assert FiniteGroup(C2.cayley, ambient=catalog["K4"], embedding=(0, True)).embedding == (0, 1)
     assert FiniteGroup(C2.cayley, ambient=C4, embedding=[0, 2]).embedding == (0, 2)
+
+
+def test_embedding_must_be_a_hom(catalog):
+    C4, S3 = group_from_name("C4"), catalog["S3"]
+    # C3 -> C4 is no hom; (123) has order 3, so {e, (123)} is no subgroup of S3
+    for sub, ambient, embedding in ((catalog["C3"], C4, (0, 1, 2)), (catalog["C2"], S3, (0, 3))):
+        with pytest.raises(ValueError, match="embedding is not a homomorphism into the ambient"):
+            FiniteGroup(sub.cayley, ambient=ambient, embedding=embedding)
+    for G in catalog.values():  # every subgroup the library finds passes the same check
+        assert all(S.ambient is G for S in enumerate_subgroups(G))
 
 
 def test_value_classes_are_immutable_and_compare_by_fields(catalog):

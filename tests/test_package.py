@@ -123,8 +123,8 @@ def test_every_module_loads_no_numpy_dataclasses_or_inspect():
 
 
 @pytest.mark.parametrize("argv,unused", [
-    (["group", "C2"], HEAVY),
-    (["homs", "C3", "C3"], HEAVY),
+    (["group", "C2"], (*HEAVY, "json", "json.decoder")),
+    (["homs", "C3", "C3"], (*HEAVY, "json", "json.decoder")),
     (["plesken", "S3", "dim"], ("plesken_lab.functor",)),
     (["bracket", "C3", "e+a", "e+a^2"], ("plesken_lab.functor",)),
 ])
