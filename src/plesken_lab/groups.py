@@ -144,30 +144,33 @@ def _validate_table(G: FiniteGroup) -> None:
                 raise ValueError(f"associativity fails: (x*g)*y != x*(g*y) at {x=}, {g=}, {y=}")
 
 
-def _read_embedding(G: FiniteGroup, embedding, ambient: "FiniteGroup | None") -> tuple[int, ...]:
-    """``embedding`` as a tuple, checked to be an injective hom from ``G`` into ``ambient``.
-
-    Its image is then a subgroup.  Each error about an entry names the entry.
-    """
-    if ambient is None:
-        raise ValueError("an embedding needs an ambient group")
+def _read_indices(values, count: int, bound: int, what: str, error: type) -> tuple[int, ...]:
+    """``values`` as a tuple of ``count`` ints in ``0..bound-1``; ``error`` names a bad entry."""
     entries = []
-    for i, v in enumerate(embedding):
+    for i, v in enumerate(values):
         try:
             v = index(v)
         except TypeError:
-            raise ValueError(f"embedding entry {i} is {v!r}, not an integer") from None
-        if not 0 <= v < ambient.order:
-            raise ValueError(f"embedding entry {i} is {v}, outside 0..{ambient.order - 1}")
+            raise error(f"{what} entry {i} is {v!r}, not an integer") from None
+        if not 0 <= v < bound:
+            raise error(f"{what} entry {i} is {v}, outside 0..{bound - 1}")
         entries.append(v)
-    if len(entries) != G.order:
-        raise ValueError(f"embedding has {len(entries)} entries, expected {G.order}")
+    if len(entries) != count:
+        raise error(f"{what} has {len(entries)} entries, expected {count}")
+    return tuple(entries)
+
+
+def _read_embedding(G: FiniteGroup, embedding, ambient: "FiniteGroup | None") -> tuple[int, ...]:
+    """``embedding`` as a tuple, checked to be an injective hom into ``ambient``."""
+    if ambient is None:
+        raise ValueError("an embedding needs an ambient group")
+    entries = _read_indices(embedding, G.order, ambient.order, "embedding", ValueError)
     if len(set(entries)) != G.order:
         i = next(i for i, v in enumerate(entries) if v in entries[:i])
         raise ValueError(f"embedding entry {i} repeats {entries[i]}")
     if not _is_hom(G, ambient, entries):
         raise ValueError("embedding is not a homomorphism into the ambient group")
-    return tuple(entries)
+    return entries
 
 
 class FiniteGroup:
@@ -226,10 +229,13 @@ class FiniteGroup:
         self.labels = tuple(map(str, range(n) if labels is None else labels))
         if len(self.labels) != self.order:
             raise ValueError("labels length does not match group order")
+        self.label_index = {}
+        for i, lab in enumerate(self.labels):
+            if (j := self.label_index.setdefault(lab, i)) != i:
+                raise ValueError(f"label {lab!r} is at positions {j} and {i}")
         self.spec = spec
         self.ambient = ambient
         self.embedding = None if embedding is None else _read_embedding(self, embedding, ambient)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     def mul(self, x: int, y: int) -> int:
         self._check_index(x)
@@ -434,30 +440,19 @@ class GroupHom(_Frozen):
     """A group homomorphism, given by its image table on element indices.
 
     Every ``GroupHom`` is a hom: ``__init__`` reads the table and raises
-    ``InvalidHom`` unless ``validate_hom`` accepts it.  The homs the library
-    makes itself (``enumerate_homs``, ``identity_hom``, ``trivial_hom`` and
-    ``compose_homs``) are homs by how they are built, so ``_built_hom`` makes
-    them without reading or checking the table again.
+    ``InvalidHom`` unless ``validate_hom`` accepts it, and ``enumerate_homs``
+    keeps only the tables that the same test accepts.  ``identity_hom``,
+    ``trivial_hom`` and ``compose_homs`` are homs by how they are built, and
+    ``_built_hom`` makes the library's own homs without checking them again.
     """
 
     __slots__ = ("domain", "codomain", "image")
     _key = attrgetter(*__slots__)
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image) -> None:
-        values = []
-        for i, v in enumerate(image):
-            try:
-                values.append(index(v))
-            except TypeError:
-                raise InvalidHom(f"image entry {i} is {v!r}, not an integer") from None
-        if len(values) != domain.order:
-            raise InvalidHom("image table length does not match the domain order")
-        for v in values:
-            if not 0 <= v < codomain.order:
-                raise InvalidHom(f"image entry {v} outside the codomain")
         _set(self, "domain", domain)
         _set(self, "codomain", codomain)
-        _set(self, "image", tuple(values))
+        _set(self, "image", _read_indices(image, domain.order, codomain.order, "image", InvalidHom))
         if not validate_hom(self):
             raise InvalidHom("image table is not a group homomorphism")
 
@@ -466,7 +461,7 @@ class GroupHom(_Frozen):
 
 
 def _built_hom(domain: FiniteGroup, codomain: FiniteGroup, image: tuple[int, ...]) -> GroupHom:
-    """The ``GroupHom`` of a table of ints that is a hom by construction, unchecked."""
+    """The ``GroupHom`` of a table of ints already known to be a hom, unchecked."""
     f = object.__new__(GroupHom)
     _set(f, "domain", domain)
     _set(f, "codomain", codomain)
@@ -488,14 +483,15 @@ def validate_hom(h: GroupHom) -> bool:
     The g with ``img[g*y] == img[g]*img[y]`` for every y are closed under
     products once ``img`` fixes the identity, so they are all of the domain
     when they include its ``generators``: O(|G| * |generators|) instead of
-    every pair.  ``GroupHom.__init__`` runs it on every table it is given, so
-    it holds for every ``GroupHom``.
+    every pair.  ``GroupHom.__init__`` runs it on every table it is given, and
+    subgroup embeddings and the tables ``enumerate_homs`` keeps pass the same
+    ``_is_hom``: it is the library's one test of a hom.
     """
     return _is_hom(h.domain, h.codomain, h.image)
 
 
 def _is_hom(G: FiniteGroup, H: FiniteGroup, img: Sequence[int]) -> bool:
-    """``validate_hom`` on a bare image table; ``FiniteGroup`` checks embeddings with it."""
+    """``validate_hom`` on a bare image table, for embeddings and the hom search."""
     if img[G.identity] != H.identity:
         return False
     image, rows = img.__getitem__, H.cayley
@@ -552,29 +548,6 @@ def generating_set(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def _extend_generator_images(
-    G: FiniteGroup, H: FiniteGroup, gens: tuple[int, ...], images: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Propagate generator images along the Cayley graph; None on any conflict."""
-    img: list[int | None] = [None] * G.order
-    img[G.identity] = H.identity
-    stack = [G.identity]
-    while stack:
-        x = stack.pop()
-        hx = img[x]
-        for g, h in zip(gens, images):
-            y = G.cayley[x][g]
-            v = H.cayley[hx][h]
-            if img[y] is None:
-                img[y] = v
-                stack.append(y)
-            elif img[y] != v:
-                return None
-    if any(v is None for v in img):
-        return None
-    return tuple(img)
-
-
 def _element_orders(G: FiniteGroup) -> list[int]:
     """Order of every element; the powers of x give the orders of all of <x> at once."""
     e, orders = G.identity, [0] * G.order
@@ -596,12 +569,13 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     so only those images are tried (the backtrack search of Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*).  It also sends each
     product g_i*g_j of two generators to h_i*h_j, so a choice of images where
-    the order of h_i*h_j does not divide that of g_i*g_j is skipped: it would
-    fail the extension below anyway, and no result changes.  Every other
-    choice of images for ``G.generators`` is propagated along the Cayley graph,
-    checking each edge ``x -> x*g``.  A table that passes has
-    ``img(x*g1*...*gk) = img(x)*h1*...*hk``, so it is multiplicative, and
-    distinct generator images give distinct tables: no further check is needed.
+    the order of h_i*h_j does not divide that of g_i*g_j is no hom's and is
+    skipped.  Every other choice h_i for ``G.generators`` fills a table along
+    one walk of G from the identity, with steps y = x*g_i where x is reached
+    first: ``img[y] = img[x]*h_i``.  It is kept when ``_is_hom``, the test every
+    ``GroupHom`` passes, accepts it.  A hom with images h_i equals its fill, so
+    none is missed; the identity's own steps set ``img[g_i] = h_i``, so distinct
+    choices give distinct tables.
     """
     gens = G.generators
     if H.order ** len(gens) > HOM_SEARCH_LIMIT:
@@ -617,14 +591,24 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
         (i, j, orders_G[G.cayley[gens[i]][gens[j]]])
         for i, j in itertools.combinations(range(len(gens)), 2)
     ]
+    reached, seen, steps = [G.identity], {G.identity}, []
+    for x in reached:  # grows while it is read
+        for i, g in enumerate(gens):
+            y = G.cayley[x][g]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                steps.append((y, x, i))
     rows_H = H.cayley
+    img = [H.identity] * G.order
     tables = []
     for images in itertools.product(*candidates):
         if any(m % orders_H[rows_H[images[i]][images[j]]] for i, j, m in pairs):
             continue
-        table = _extend_generator_images(G, H, gens, images)
-        if table is not None:
-            tables.append(table)
+        for y, x, i in steps:
+            img[y] = rows_H[img[x]][images[i]]
+        if _is_hom(G, H, img):
+            tables.append(tuple(img))
     return [_built_hom(G, H, t) for t in sorted(tables)]
 
 

@@ -25,20 +25,22 @@ def hat(G: FiniteGroup, g: int) -> AlgebraElement:
     return AlgebraElement(G, coeffs)
 
 
-class PleskenBasis:
+class PleskenBasis(_Frozen):
     """The canonical hat basis of a group: each g with index(g) < index(g^{-1}), in order."""
 
     __slots__ = ("group", "reps", "_positions")
+    _key = attrgetter("group", "reps")
 
     def __init__(self, group: FiniteGroup) -> None:
         inv = group.inv
-        self.group = group
-        self.reps = tuple(g for g in range(group.order) if g < inv[g])
+        reps = tuple(g for g in range(group.order) if g < inv[g])
         positions: dict[int, tuple[int, int]] = {}
-        for k, g in enumerate(self.reps):
+        for k, g in enumerate(reps):
             positions[g] = (k, 1)
             positions[inv[g]] = (k, -1)
-        self._positions = positions
+        _set(self, "group", group)
+        _set(self, "reps", reps)
+        _set(self, "_positions", positions)
 
     @property
     def dimension(self) -> int:
@@ -47,16 +49,6 @@ class PleskenBasis:
     def position(self, g: int) -> tuple[int, int] | None:
         """(basis position, sign) for a non-involution g, else None."""
         return self._positions.get(g)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PleskenBasis):
-            return NotImplemented
-        return self.group == other.group and self.reps == other.reps
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.reps))
 
     def __repr__(self) -> str:
         return f"PleskenBasis({self.group!r}, dim={self.dimension})"

@@ -21,6 +21,7 @@ from plesken_lab import (
     ParseError,
     Scalar,
     SearchTooLarge,
+    canonical_basis,
     compose_homs,
     enumerate_homs,
     enumerate_subgroups,
@@ -263,7 +264,7 @@ PRUNED_PAIRS = {
     ("C3", "C3"), ("K4", "C3"), ("C2", "K4"), ("S3", "S3"), ("C6", "C6"),
     ("S3", "C6"), ("C6", "S3"), ("D4", "K4"),
     ("C2", "S3"), ("C3", "S3"), ("K4", "S3"), ("C4", "D4"), ("D4", "C4"), ("S3", "D4"),
-    ("C4", "C6"),
+    ("C4", "C6"), ("C1", "S3"), ("S3", "C1"),
 ])
 def test_enumerate_homs_exhaustive_against_map_search(catalog, dom, cod):
     G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
@@ -281,22 +282,22 @@ PAIR_PRUNED = {
 }
 
 
-def _count_extensions(monkeypatch) -> list[int]:
+def _count_hom_checks(monkeypatch) -> list[int]:
     calls = [0]
-    extend = groups._extend_generator_images
+    is_hom = groups._is_hom
 
     def counted(*args):
         calls[0] += 1
-        return extend(*args)
+        return is_hom(*args)
 
-    monkeypatch.setattr(groups, "_extend_generator_images", counted)
+    monkeypatch.setattr(groups, "_is_hom", counted)
     return calls
 
 
 @pytest.mark.parametrize("dom,cod", sorted(PAIR_PRUNED))
 def test_generator_pair_check_skips_tuples_and_keeps_every_hom(catalog, monkeypatch, dom, cod):
     G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
-    calls = _count_extensions(monkeypatch)
+    calls = _count_hom_checks(monkeypatch)
     found = {f.image for f in enumerate_homs(G, H)}
     assert found == set(all_hom_tables(G, H))
     tried, skipped = PAIR_PRUNED[dom, cod]
@@ -304,9 +305,9 @@ def test_generator_pair_check_skips_tuples_and_keeps_every_hom(catalog, monkeypa
 
 
 def test_generator_pair_check_bounds_the_s5_search(monkeypatch):
-    # the order check alone leaves 1,716 tuples to extend
+    # the order check alone leaves 1,716 tuples to fill and check
     S5 = group_from_name("S5")
-    calls = _count_extensions(monkeypatch)
+    calls = _count_hom_checks(monkeypatch)
     assert len(enumerate_homs(S5, S5)) == 146
     assert calls[0] <= 386
 
@@ -433,6 +434,14 @@ def test_right_zero_table_has_no_two_sided_identity():
         FiniteGroup([[0, 1, 2]] * 3)
 
 
+def test_repeated_labels_are_refused(catalog):
+    C2, C3 = catalog["C2"], catalog["C3"]
+    with pytest.raises(ValueError, match="^label 'e' is at positions 0 and 1$"):
+        FiniteGroup(C2.cayley, labels=["e", "e"])
+    with pytest.raises(ValueError, match="^label '1' is at positions 1 and 2$"):
+        FiniteGroup(C3.cayley, labels=["0", 1, "1"])  # labels are read as text
+
+
 def test_table_may_be_any_iterable_of_rows(catalog):
     C3 = catalog["C3"]
     assert FiniteGroup(iter(C3.cayley)) == C3
@@ -507,6 +516,19 @@ def test_hom_image_entries_must_be_integers(catalog):
     assert GroupHom(C2, C2, (0, True)).image == (0, 1)
 
 
+def test_hom_image_range_and_length_messages_name_the_entry(catalog):
+    C2, C3 = catalog["C2"], catalog["C3"]
+    for image, message in (
+        ((0, 1, 4), r"image entry 2 is 4, outside 0\.\.2"),
+        ((0, -1, 0), r"image entry 1 is -1, outside 0\.\.2"),
+        ((0, 0), "image has 2 entries, expected 3"),
+    ):
+        with pytest.raises(InvalidHom, match=f"^{message}$"):
+            GroupHom(C3, C3, image)
+    with pytest.raises(InvalidHom, match="^image has 3 entries, expected 2$"):
+        GroupHom(C2, C3, (0, 0, 0))
+
+
 def test_embedding_entries_are_checked(catalog):
     C2, C4 = catalog["C2"], group_from_name("C4")
     for embedding, message in (
@@ -545,6 +567,7 @@ def test_value_classes_are_immutable_and_compare_by_fields(catalog):
         Scalar(): "re",
         BarLift(ident): "hom",
         lift_hom_hat(ident): "action",
+        canonical_basis(K4): "reps",
     }
     for value, field in values.items():
         with pytest.raises(AttributeError):
@@ -554,6 +577,8 @@ def test_value_classes_are_immutable_and_compare_by_fields(catalog):
     assert GroupSpec("cyclic", 3) == GroupSpec.parse("C3") != GroupSpec("cyclic", 4)
     assert hash(GroupSpec("cyclic", 3)) == hash(GroupSpec.parse("c3"))
     assert GroupHom(K4, K4, [0, 1, 2, 3]) == ident != triv
+    assert canonical_basis(K4) == canonical_basis(K4) != canonical_basis(catalog["C3"])
+    assert hash(canonical_basis(K4)) == hash(canonical_basis(K4))
     assert Scalar() == Scalar.of(0) != Scalar.of(0, 1)
     assert Scalar() != 0 and Scalar() != (0, 0)  # only a Scalar equals a Scalar
     assert BarLift(ident) == BarLift(identity_hom(K4)) != BarLift(triv)
