@@ -134,7 +134,7 @@ def _run_homs(args) -> tuple[dict, int]:
         "domain": str(dom_spec),
         "codomain": str(cod_spec),
         "count": len(homs),
-        "homs": [{"image": list(f.image)} for f in homs],
+        "homs": _Rows(("image",), ((f.image,) for f in homs)),
     }
     return payload, EXIT_OK
 
@@ -176,6 +176,7 @@ def _run_functor(args) -> tuple[dict, int]:
     from .functor import (
         CompositionLawResult,
         FaithfulnessWitness,
+        FullnessPairResult,
         check_full,
         check_functor_laws,
         find_faithfulness_counterexample,
@@ -185,18 +186,16 @@ def _run_functor(args) -> tuple[dict, int]:
     spec = GroupSpec.parse(args.ambient)
     ambient = build_group(spec)
     category = subgroup_category(ambient)
-    objects = [
-        {"index": i, "order": obj.order, "elements": list(obj.labels)}
-        for i, obj in enumerate(category.objects)
-    ]
+    objects = _Rows(
+        ("index", "order", "elements"),
+        ((i, obj.order, list(obj.labels)) for i, obj in enumerate(category.objects)),
+    )
     payload: dict = {"ambient": str(spec), "objects": objects}
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)
         samples = _object_map_samples(ambient, args.convention, args.seed)
-        payload["identity_law"] = [
-            {"object": r.object_index, "ok": r.ok} for r in report.identity
-        ]
+        payload["identity_law"] = _Rows(("object", "ok"), report.identity)
         payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
         payload["object_map"] = samples
         payload["all_hold"] = report.all_hold
@@ -204,12 +203,7 @@ def _run_functor(args) -> tuple[dict, int]:
             code = EXIT_LAW_VIOLATION
     elif args.action == "full":
         report = check_full(category)
-        payload["pairs"] = [
-            {"source": r.source, "target": r.target, "morphisms": r.morphisms,
-             "distinct_images": r.distinct_images, "witnessed": r.witnessed,
-             "ok": r.ok}
-            for r in report.pairs
-        ]
+        payload["pairs"] = _Rows(FullnessPairResult._fields, report.pairs)
         payload["all_full"] = report.all_full
         if not report.all_full:
             code = EXIT_LAW_VIOLATION
@@ -267,7 +261,7 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
         return lines
     if verb == "homs":
         return [f"count: {payload['count']}"] + [
-            "image: " + " ".join(map(str, h["image"])) for h in payload["homs"]
+            "image: " + " ".join(map(str, image)) for (image,) in payload["homs"]
         ]
     lines = [f"ambient: {payload['ambient']}", f"objects: {len(payload['objects'])}"]
     if "all_hold" in payload:
@@ -282,9 +276,9 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
 class _Rows(list):
     """Records given as tuples of values under one tuple of field names.
 
-    ``_json_text`` writes it exactly as the list of ``dict(zip(fields, row))``,
-    without building those dicts; only here may a column of int lists hold
-    tuples of ints.
+    Every record list in a payload is one.  ``_json_text`` writes it exactly
+    as the list of ``dict(zip(fields, row))``, without building those dicts;
+    only here may a column of int lists hold tuples of ints.
     """
 
     def __init__(self, fields: tuple[str, ...], rows) -> None:
@@ -295,9 +289,8 @@ class _Rows(list):
 def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per list.
 
-    Dicts go through ``_records_text``: a list of dicts that share one key set
-    fills one ``%`` template, and any other dict is a list of one record.  A
-    ``_Rows`` value is written as its list of dicts, from the same template.
+    A ``_Rows`` value is written as its list of dicts, each record through one
+    ``%`` template (``_records_text``); a dict is written item by item.
 
     ``json`` never uses its C encoder when ``indent`` is set, and its Python
     encoder yields one small string per token.  Only ``dict`` with ``str``
@@ -317,65 +310,55 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         if kind is _Rows:
-            parts = _records_text(value, inner, value.fields)
+            parts = _records_text(value, inner)
+        elif set(map(type, value)) == {int}:
+            parts = map(int.__repr__, value)
         else:
-            types = set(map(type, value))
-            if types == {int}:
-                parts = map(int.__repr__, value)
-            elif types == {dict} and _share_keys(value):
-                parts = _records_text(value, inner)
-            else:
-                parts = [_json_text(v, inner) for v in value]
+            parts = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if kind is not dict:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
-    return _records_text([value], newline)[0]
+    if not value:
+        return "{}"
+    items = [_quote(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-def _share_keys(records: list) -> bool:
-    """True when every dict in ``records`` has the first one's keys."""
-    keys = records[0].keys()
-    return all(map(keys.__eq__, map(dict.keys, records)))
-
-
-def _records_text(records, newline: str, fields: tuple[str, ...] | None = None) -> list[str]:
-    """``_json_text`` of each record: dicts that share one key set, or tuples under ``fields``.
+def _records_text(rows: _Rows, newline: str) -> list[str]:
+    """``_json_text`` of each record of ``rows``, a tuple under ``rows.fields``.
 
     Each record fills one ``%`` template, so the per-record work runs in C.
-    Each key's values are streamed, never stored as a column, and written
+    Each field's values are streamed, never stored as a column, and written
     by their exact types: an int column through ``%d``, a str column through
-    ``encode_basestring_ascii``, a column of int lists (or, for tuple
-    records, tuples) through a memo that writes each distinct list once, and
-    any other column (bools, mixed types, nesting) through ``_json_text``,
-    which refuses every type outside the schema.
+    ``encode_basestring_ascii``, a column of int lists or tuples through a
+    memo that writes each distinct one once, and any other column (bools,
+    mixed types, nesting) through ``_json_text``, which refuses every type
+    outside the schema.
     """
-    if fields is None:
-        getters, sequences = {k: itemgetter(k) for k in records[0]}, {list}
-    else:
-        getters, sequences = {k: itemgetter(p) for p, k in enumerate(fields)}, {list, tuple}
+    getters = {k: itemgetter(p) for p, k in enumerate(rows.fields)}
     if not getters:
-        return ["{}"] * len(records)
+        return ["{}"] * len(rows)
     inner = newline + "  "
     slots = []
     texts = []
     for k in sorted(getters):
         get = getters[k]
-        types = set(map(type, map(get, records)))
+        types = set(map(type, map(get, rows)))
         slot = "%s"
         if types == {int}:
             slot = "%d"
-            texts.append(map(get, records))
+            texts.append(map(get, rows))
         elif types == {str}:
-            texts.append(map(_quote, map(get, records)))
-        elif types <= sequences and {int}.issuperset(
-            map(type, chain.from_iterable({id(v): v for v in map(get, records)}.values()))
+            texts.append(map(_quote, map(get, rows)))
+        elif types <= {list, tuple} and {int}.issuperset(
+            map(type, chain.from_iterable({id(v): v for v in map(get, rows)}.values()))
         ):
             # exact ints only: a tuple key would let [True] reuse the text of [1];
             # rows share a few value objects, so each distinct object is read once
             int_list_text = cache(lambda items: _json_text(list(items), inner))
-            texts.append(map(int_list_text, map(tuple, map(get, records))))
+            texts.append(map(int_list_text, map(tuple, map(get, rows))))
         else:
-            texts.append(map(_json_text, map(get, records), repeat(inner)))
+            texts.append(map(_json_text, map(get, rows), repeat(inner)))
         slots.append(_quote(k).replace("%", "%%") + ": " + slot)
     template = "{" + inner + ("," + inner).join(slots) + newline + "}"
     return list(map(template.__mod__, zip(*texts)))

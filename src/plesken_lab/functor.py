@@ -190,14 +190,9 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
     return LawReport(tuple(identity_results), tuple(composition_results))
 
 
-class FullnessPairResult(
-    namedtuple("FullnessPairResult", "source target morphisms distinct_images witnessed")
-):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.witnessed == self.distinct_images
+FullnessPairResult = namedtuple(
+    "FullnessPairResult", "source target morphisms distinct_images witnessed ok"
+)
 
 
 class FullnessReport(namedtuple("FullnessReport", "pairs")):
@@ -211,13 +206,16 @@ class FullnessReport(namedtuple("FullnessReport", "pairs")):
 def check_full(category: SubgroupCategory) -> FullnessReport:
     """For every object pair, count the distinct hat lifts and those with a preimage.
 
-    Every distinct lift is collected from some morphism of the homset, so
-    ``witnessed`` equals ``distinct_images`` by construction.
+    A pair is ``ok`` when ``witnessed`` equals ``distinct_images``.  Every
+    distinct lift is collected from some morphism of the homset, so that
+    holds by construction.
     """
     results = []
     for (i, j), homset in sorted(category.lifts.items()):
-        distinct = set(homset.values())
-        results.append(FullnessPairResult(i, j, len(homset), len(distinct), len(distinct)))
+        distinct = witnessed = len(set(homset.values()))
+        results.append(
+            FullnessPairResult(i, j, len(homset), distinct, witnessed, witnessed == distinct)
+        )
     return FullnessReport(tuple(results))
 
 

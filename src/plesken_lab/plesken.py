@@ -11,14 +11,13 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .algebra import AlgebraElement, ONE, Scalar, ZERO, _Vector, lie_bracket
-from .errors import BasisMismatch, IndexOutOfRange, InvalidPrime, NotInSpan
+from .errors import BasisMismatch, InvalidPrime, NotInSpan
 from .groups import FiniteGroup, GroupHom, _Frozen, _is_odd_prime, _set
 
 
 def hat(G: FiniteGroup, g: int) -> AlgebraElement:
     """The antisymmetrized element g - g^{-1}; zero for involutions and identity."""
-    if not 0 <= g < G.order:
-        raise IndexOutOfRange(f"element index {g} outside group of order {G.order}")
+    G._check_index(g)
     gi = G.inv[g]
     coeffs = {g: ONE}
     coeffs[gi] = coeffs.get(gi, ZERO) - ONE

@@ -167,6 +167,22 @@ def test_group_order_guard_exits_3_before_building(capsys, monkeypatch, spec, or
     assert "payload" not in report
 
 
+def test_large_heisenberg_spec_reaches_the_order_guard():
+    # the primality test of 2**61 - 1 must not run for seconds before the guard refuses it
+    child = subprocess.run(
+        [sys.executable, "-m", "plesken_lab", "group", "H2305843009213693951"],
+        capture_output=True, env=CHILD_ENV, timeout=10,
+    )
+    assert child.returncode == 3, child.stderr
+    assert json.loads(child.stdout)["error"].startswith("group H2305843009213693951 has order ")
+
+
+def test_spec_parameter_too_long_to_read_exits_2(capsys):
+    code, report = run_json(capsys, "group", "C" + "9" * 5000)
+    assert code == 2 == report["exit_code"]
+    assert report["error"].startswith("cannot parse group spec 'C999")
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "functor", "check", "--ambient", "S3")
     _, second = run_cli(capsys, "functor", "check", "--ambient", "S3")
@@ -382,3 +398,19 @@ def test_text_mode(capsys):
     assert "dim: 1" in out
     code, out = run_cli(capsys, "group", "Q8", "--format", "text")
     assert code == 2 and "error" in out
+
+
+def test_text_mode_homs(capsys):
+    code, out = run_cli(capsys, "homs", "C3", "C3", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "plesken-lab homs", "count: 3", "image: 0 0 0", "image: 0 1 2", "image: 0 2 1", "exit: 0"
+    ]
+
+
+def test_text_mode_functor_full(capsys):
+    code, out = run_cli(capsys, "functor", "full", "--ambient", "C6", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "plesken-lab functor", "ambient: C6", "objects: 4", "full: True", "exit: 0"
+    ]

@@ -71,6 +71,38 @@ def test_spec_parse_errors(bad):
         GroupSpec.parse(bad)
 
 
+def test_spec_parameter_too_long_for_int_is_a_parse_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    with pytest.raises(ParseError, match="^cannot parse group spec 'C9999"):
+        GroupSpec.parse("C" + "9" * 5000)
+
+
+def _trial_division_is_odd_prime(p: int) -> bool:
+    return p > 2 and p % 2 == 1 and all(p % d for d in range(3, int(p**0.5) + 1, 2))
+
+
+def test_odd_prime_test_agrees_with_trial_division():
+    assert [p for p in range(10**5) if groups._is_odd_prime(p)] == [
+        p for p in range(10**5) if _trial_division_is_odd_prime(p)
+    ]
+
+
+@pytest.mark.parametrize("n", [
+    561,  # Carmichael
+    3057601,  # Carmichael, 43 * 211 * 337: no base divides it, and 2**(n-1) == 1 mod n
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # ... to every prime base up to 23
+    318665857834031151167461,  # ... to every prime base up to 37
+])
+def test_odd_prime_test_rejects_strong_pseudoprimes(n):
+    assert not groups._is_odd_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1, 2**127 - 1])
+def test_odd_prime_test_accepts_large_primes(p):
+    assert groups._is_odd_prime(p)
+
+
 @pytest.mark.parametrize("kind,param", [
     ("heisenberg", 2), ("heisenberg", 4), ("heisenberg", 9),
     ("cyclic", 0), ("dihedral", 0), ("symmetric", 0),
