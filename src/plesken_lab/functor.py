@@ -10,18 +10,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import product
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
-from .groups import CONVENTIONS, _built_hom
-from .plesken import (
-    HatLift,
-    HatMap,
-    PleskenBasis,
-    canonical_basis,
-    hat_map,
-    lift_hom_hat,
-)
+from .groups import CONVENTIONS
+from .plesken import HatLift, HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
 
 
 def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement:
@@ -50,40 +44,41 @@ def morphism_map(fbar: BarLift) -> HatLift:
 
 
 class SubgroupCategory:
-    """Subgroups of an ambient group, one hat basis each, and every hom between them.
+    """Subgroups of an ambient group, keyed by their distinct Cayley tables.
 
-    The morphisms are ``GroupHom`` values, so each is a hom by type; the ones
-    ``enumerate_homs`` finds are built without a second check.
+    ``table[i]`` numbers the table of ``objects[i]``, in order of first
+    appearance.  ``bases[a]`` is the hat basis of the first object on table
+    ``a``, and ``homsets[a, b]`` the homs between the first objects on tables
+    ``a`` and ``b``: a hom, its lift and the laws read only the two tables, so
+    every object pair on those tables shares them.
     """
 
     def __init__(
         self,
         ambient: FiniteGroup,
         objects: tuple[FiniteGroup, ...],
-        bases: tuple[PleskenBasis, ...],
         homsets: dict[tuple[int, int], tuple[GroupHom, ...]],
     ) -> None:
+        self.table, firsts = _tables(objects)
+        if homsets.keys() != set(product(range(len(firsts)), repeat=2)):
+            raise ValueError(f"homsets must be keyed by pairs of the {len(firsts)} object tables")
         self.ambient = ambient
         self.objects = objects
-        self.bases = bases
+        self.bases = tuple(canonical_basis(G) for G in firsts)
         self.homsets = homsets
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ambient, self.objects, self.bases, self.homsets) == (
-            other.ambient, other.objects, other.bases, other.homsets
-        )
-
-    __hash__ = None  # its fields can be reassigned
 
     @cached_property
     def lifts(self) -> dict[tuple[int, int], dict[tuple[int, ...], HatMap]]:
-        """Integer hat map of every morphism, keyed by object pair, then by image table."""
-        return {
-            (i, j): _hat_maps(homset, self.bases[i], self.bases[j])
-            for (i, j), homset in self.homsets.items()
-        }
+        """Integer hat map of every morphism, keyed by table pair, then by image table."""
+        bases = self.bases
+        return {(a, b): _hat_maps(h, bases[a], bases[b]) for (a, b), h in self.homsets.items()}
+
+
+def _tables(objects) -> tuple[tuple[int, ...], tuple[FiniteGroup, ...]]:
+    """Each object's table id, in order of first appearance, and the first object on each table."""
+    ids: dict = {}
+    table = tuple(ids.setdefault(obj.cayley, len(ids)) for obj in objects)
+    return table, tuple(objects[table.index(a)] for a in range(len(ids)))
 
 
 def _hat_maps(homset, src: PleskenBasis, dst: PleskenBasis) -> dict[tuple[int, ...], HatMap]:
@@ -96,22 +91,16 @@ def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
     Many subgroups are one group on one Cayley table (S4's 30 have 13 tables),
     and ``enumerate_homs`` reads only the two tables, their ``generators`` and
     ``identity``, which the table fixes.  So the search runs once per ordered
-    pair of distinct tables, and each homset holds its own ``GroupHom``s
-    (``domain`` and ``codomain`` are its objects) on the shared image tables.
+    pair of distinct tables, between the first objects on them.
     """
     objects = tuple(enumerate_subgroups(ambient))
-    bases = tuple(canonical_basis(obj) for obj in objects)
-    tables: dict = {}
-    kinds = [tables.setdefault(obj.cayley, len(tables)) for obj in objects]
-    images: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    homsets = {}
-    for i, Gi in enumerate(objects):
-        for j, Gj in enumerate(objects):
-            found = images.get((kinds[i], kinds[j]))
-            if found is None:
-                found = images[kinds[i], kinds[j]] = [f.image for f in enumerate_homs(Gi, Gj)]
-            homsets[i, j] = tuple(_built_hom(Gi, Gj, t) for t in found)
-    return SubgroupCategory(ambient, objects, bases, homsets)
+    _, firsts = _tables(objects)
+    homsets = {
+        (a, b): tuple(enumerate_homs(Ga, Gb))
+        for a, Ga in enumerate(firsts)
+        for b, Gb in enumerate(firsts)
+    }
+    return SubgroupCategory(ambient, objects, homsets)
 
 
 IdentityLawResult = namedtuple("IdentityLawResult", "object_index ok")
@@ -131,63 +120,56 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
 
     The composition law is checked in two parts:
 
-    (a) once per homset Hom(i, j), its stored lifts are exactly the
+    (a) once per homset Hom(a, b), its stored lifts are exactly the
         ``hat_map`` of each of its morphisms;
-    (b) once per composable pair f1: i -> j, f2: j -> k, the composite is a
-        morphism of Hom(i, k), looked up by its generator images, which fix
+    (b) once per composable pair f1: a -> b, f2: b -> c, the composite is a
+        morphism of Hom(a, c), looked up by its generator images, which fix
         a hom.
 
-    A triple (i, j, k) holds when (b) holds for all its pairs and (a) holds on
-    Hom(i, j), Hom(j, k) and Hom(i, k).  Every morphism is a ``GroupHom``, so
-    a hom by type; under (a), (b) is the same as the pairwise law: the
-    composite image table is a morphism, and its lift is the composite of
-    the two integer hat maps.
+    A table triple (a, b, c) holds when (b) holds for all its pairs and (a)
+    holds on Hom(a, b), Hom(b, c) and Hom(a, c).  Every morphism is a
+    ``GroupHom``, so a hom by type; under (a), (b) is the same as the pairwise
+    law: the composite image table is a morphism, and its lift is the
+    composite of the two integer hat maps.
 
-    (b) reads only the generators of i and the image tables of the three
-    homsets, so it runs once per distinct triple of homset contents, keyed by
-    (generators of i, image tables of Hom(i, j)); subgroups on one table give
-    many equal triples.  The key is the content, not the objects' tables, so
-    this holds for any category: a homset that lacks a composite its
-    equal-table twin has gets its own key and fails its own triples.  (a) and
-    the identity law still run per homset and per object.
+    Both laws run once per table or table triple; the object rows (i, j, k)
+    read the result of (table[i], table[j], table[k]).
     """
-    objects, bases, homsets = category.objects, category.bases, category.homsets
-    lifts = category.lifts
-    identity_results = []
-    for i, obj in enumerate(objects):
-        ident = lifts[(i, i)].get(identity_hom(obj).image)
-        ok = ident == tuple((k, 1) for k in range(bases[i].dimension))
-        identity_results.append(IdentityLawResult(i, ok))
-    gens = [obj.generators or (obj.identity,) for obj in objects]
-    ids: dict = {}  # one content id per distinct (generators of i, image tables of Hom(i, j))
-    keys = []  # keys[c]: generator images of every morphism of content c
-    columns = []  # columns[c][x] == (f(x) for each morphism f of content c)
-    state = {}  # state[i, j] == (|Hom(i, j)|, its content id, (a) on it)
-    for (i, j), homset in homsets.items():
-        images = tuple(f.image for f in homset)
-        c = ids.setdefault((gens[i], images), len(ids))
-        if c == len(keys):
-            keys.append({tuple(map(image.__getitem__, gens[i])) for image in images})
-            columns.append(list(zip(*images)))
-        state[i, j] = len(homset), c, lifts[i, j] == _hat_maps(homset, bases[i], bases[j])
-    n = len(objects)
-    rows = [[state[i, j] for j in range(n)] for i in range(n)]
-    part_b = {}  # (b) depends on the three contents alone
+    bases, homsets, lifts = category.bases, category.homsets, category.lifts
+    identity = [
+        lifts[a, a].get(identity_hom(basis.group).image)
+        == tuple((k, 1) for k in range(basis.dimension))
+        for a, basis in enumerate(bases)
+    ]
+    gens = [basis.group.generators or (basis.group.identity,) for basis in bases]
+    exact = {}  # exact[a, b]: (a) holds on Hom(a, b)
+    keys = {}  # keys[a, b]: generator images of every morphism of Hom(a, b)
+    columns = {}  # columns[a, b][x] == (f(x) for each f in Hom(a, b))
+    for (a, b), homset in homsets.items():
+        images = [f.image for f in homset]
+        exact[a, b] = lifts[a, b] == _hat_maps(homset, bases[a], bases[b])
+        keys[a, b] = {tuple(map(image.__getitem__, gens[a])) for image in images}
+        columns[a, b] = list(zip(*images))
+    law = {}  # law[a, b][c] == (pairs, ok) of the table triple (a, b, c)
+    for a, b in homsets:
+        row = law[a, b] = []
+        for c in range(len(bases)):
+            ok = exact[a, b] and exact[b, c] and exact[a, c]
+            if ok and homsets[b, c]:
+                # each f1 checks all f2 at once: zip yields the composites' generator images
+                found, column = keys[a, c].issuperset, columns[b, c].__getitem__
+                ok = all(found(zip(*map(column, t1))) for t1 in keys[a, b])
+            row.append((len(homsets[a, b]) * len(homsets[b, c]), ok))
+    table = category.table
     composition_results = []
-    for i, row_i in enumerate(rows):
-        for j, (size_ij, c1, exact_ij) in enumerate(row_i):
-            for k, (size_jk, c2, exact_jk) in enumerate(rows[j]):
-                _, c12, exact_ik = row_i[k]
-                ok = exact_ij and exact_jk and exact_ik
-                if ok and size_jk:
-                    ok = part_b.get((c1, c2, c12))
-                    if ok is None:
-                        # each f1 checks all f2 at once: zip yields the composites' generator images
-                        found, column = keys[c12].issuperset, columns[c2].__getitem__
-                        ok = all(found(zip(*map(column, t1))) for t1 in keys[c1])
-                        part_b[c1, c2, c12] = ok
-                composition_results.append(CompositionLawResult(i, j, k, size_ij * size_jk, ok))
-    return LawReport(tuple(identity_results), tuple(composition_results))
+    for i, a in enumerate(table):
+        for j, b in enumerate(table):
+            row = law[a, b]
+            composition_results.extend(
+                CompositionLawResult(i, j, k, *row[c]) for k, c in enumerate(table)
+            )
+    identity_results = tuple(IdentityLawResult(i, identity[a]) for i, a in enumerate(table))
+    return LawReport(identity_results, tuple(composition_results))
 
 
 FullnessPairResult = namedtuple(
@@ -208,15 +190,18 @@ def check_full(category: SubgroupCategory) -> FullnessReport:
 
     A pair is ``ok`` when ``witnessed`` equals ``distinct_images``.  Every
     distinct lift is collected from some morphism of the homset, so that
-    holds by construction.
+    holds by construction.  The counts are taken once per table pair.
     """
-    results = []
-    for (i, j), homset in sorted(category.lifts.items()):
-        distinct = witnessed = len(set(homset.values()))
-        results.append(
-            FullnessPairResult(i, j, len(homset), distinct, witnessed, witnessed == distinct)
-        )
-    return FullnessReport(tuple(results))
+    counts = {}  # counts[a, b]: the fields after source and target, once per table pair
+    for ab, lifts in category.lifts.items():
+        distinct = witnessed = len(set(lifts.values()))
+        counts[ab] = (len(lifts), distinct, witnessed, witnessed == distinct)
+    table = category.table
+    return FullnessReport(tuple(
+        FullnessPairResult(i, j, *counts[a, b])
+        for i, a in enumerate(table)
+        for j, b in enumerate(table)
+    ))
 
 
 class FaithfulnessWitness(
@@ -227,18 +212,24 @@ class FaithfulnessWitness(
     __slots__ = ()
 
 
-def find_faithfulness_counterexample(
-    category: SubgroupCategory,
-) -> list[FaithfulnessWitness]:
-    """All pairs of distinct morphisms that collapse to the same hat lift."""
+def find_faithfulness_counterexample(category: SubgroupCategory) -> list[FaithfulnessWitness]:
+    """All pairs of distinct morphisms that collapse to the same hat lift.
+
+    The classes of equal lifts are found once per table pair.
+    """
+    classes = {}  # classes[a, b]: the image tables of Hom(a, b) that share each lift
+    for ab, lifts in category.lifts.items():
+        by_lift: dict[HatMap, list[tuple[int, ...]]] = {}
+        for image, action in lifts.items():
+            by_lift.setdefault(action, []).append(image)
+        classes[ab] = [images for images in by_lift.values() if len(images) > 1]
+    table = category.table
     out: list[FaithfulnessWitness] = []
-    for (i, j), homset in sorted(category.lifts.items()):
-        classes: dict[HatMap, list[tuple[int, ...]]] = {}
-        for image, action in homset.items():
-            classes.setdefault(action, []).append(image)
-        for images in classes.values():
-            for a, image_a in enumerate(images):
-                for image_b in images[a + 1 :]:
-                    out.append(FaithfulnessWitness(i, j, image_a, image_b))
+    for i, a in enumerate(table):
+        for j, b in enumerate(table):
+            for images in classes[a, b]:
+                for x, image_a in enumerate(images):
+                    for image_b in images[x + 1 :]:
+                        out.append(FaithfulnessWitness(i, j, image_a, image_b))
     out.sort()
     return out

@@ -102,9 +102,10 @@ class GroupSpec(_Frozen):
                 raise InvalidSpec("klein4 takes no parameter")
         elif kind not in _KIND_LETTERS:
             raise InvalidSpec(f"unknown group kind {kind!r}")
-        elif not isinstance(param, int) or param < 1:
+        elif not hasattr(param, "__index__") or (param := index(param)) < 1:
             raise InvalidSpec(f"{kind} needs a positive integer parameter")
-        elif kind == "heisenberg" and not _is_odd_prime(param):
+        elif kind == "heisenberg" and param**3 <= GROUP_ORDER_LIMIT and not _is_odd_prime(param):
+            # a larger p is refused by build_group's order guard (exit 3), with no primality test
             raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {param}")
         _set(self, "kind", kind)
         _set(self, "param", param)
@@ -312,7 +313,10 @@ def _check_group_order(spec: GroupSpec) -> None:
     else:
         order = {"cyclic": n, "dihedral": 2 * n, "heisenberg": n**3}[spec.kind]
     if order > GROUP_ORDER_LIMIT:
-        shown = f"{n}!" if spec.kind == "symmetric" else order
+        try:
+            shown = f"{n}!" if spec.kind == "symmetric" else str(order)
+        except ValueError:  # more digits than str() writes
+            shown = f"2*{n}" if spec.kind == "dihedral" else f"{n}^3"
         raise SearchTooLarge(
             f"group {spec} has order {shown}, above the limit {GROUP_ORDER_LIMIT}"
         )

@@ -108,12 +108,13 @@ def composition_law_by_pairs(category) -> list[tuple[int, int, int, int, bool]]:
 
     A pair holds when the composite image table is a morphism of the category
     and its stored lift equals the composite of the two stored integer maps.
+    Object i reads its homsets and lifts through its table id ``table[i]``.
     """
-    lifts = category.lifts
-    n = len(category.objects)
+    lifts, table = category.lifts, category.table
     out = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        first, second, composites = lifts[(i, j)], lifts[(j, k)], lifts[(i, k)]
+    for i, j, k in itertools.product(range(len(table)), repeat=3):
+        a, b, c = table[i], table[j], table[k]
+        first, second, composites = lifts[(a, b)], lifts[(b, c)], lifts[(a, c)]
         ok = True
         for image1, lift1 in first.items():
             for image2, lift2 in second.items():

@@ -13,7 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import plesken_lab.groups as groups
-from plesken_lab import element_to_json, group_from_name, lie_bracket, parse_element
+from plesken_lab import (
+    element_to_json, group_from_name, lie_bracket, parse_element, subgroup_category,
+)
 from plesken_lab.cli import _json_text, _Rows, main
 from conftest import CHILD_ENV
 from test_acceptance import ACCEPTANCE_COMMANDS
@@ -168,13 +170,20 @@ def test_group_order_guard_exits_3_before_building(capsys, monkeypatch, spec, or
 
 
 def test_large_heisenberg_spec_reaches_the_order_guard():
-    # the primality test of 2**61 - 1 must not run for seconds before the guard refuses it
-    child = subprocess.run(
-        [sys.executable, "-m", "plesken_lab", "group", "H2305843009213693951"],
-        capture_output=True, env=CHILD_ENV, timeout=10,
-    )
-    assert child.returncode == 3, child.stderr
-    assert json.loads(child.stdout)["error"].startswith("group H2305843009213693951 has order ")
+    # the guard compares p**3 with the order limit before any primality test of p
+    for p in (
+        2**61 - 1,
+        2**9941 - 1,  # a prime: Miller-Rabin on it takes tens of seconds
+        10**3000 + 1,  # a composite: exit 3 for its order, not exit 2 for its factors
+    ):
+        child = subprocess.run(
+            [sys.executable, "-m", "plesken_lab", "group", f"H{p}"],
+            capture_output=True, env=CHILD_ENV, timeout=10,
+        )
+        assert child.returncode == 3, child.stderr
+        error = json.loads(child.stdout)["error"]
+        assert error.startswith(f"group H{p} has order ")
+        assert error.endswith(", above the limit 2048")
 
 
 def test_spec_parameter_too_long_to_read_exits_2(capsys):
@@ -245,16 +254,52 @@ def test_broken_pipe_exits_141_without_a_traceback(argv, read_first):
     assert stderr == b""
 
 
-def test_every_traced_name_exists():
-    # the benchmark's tracer wraps these functions by name in each layer module
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these functions by name in each layer module
+    tracing = _load_tracing()
     for layer, names in tracing.LAYER_FUNCTIONS.items():
         module = importlib.import_module(f"plesken_lab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def _package_functions():
+    """Every callable bound in a loaded ``plesken_lab`` namespace, and FiniteGroup's init."""
+    bound = {
+        (m.__name__, attr): value
+        for m in list(sys.modules.values())
+        if m.__name__.startswith("plesken_lab")
+        for attr, value in vars(m).items()
+        if callable(value)
+    }
+    bound["FiniteGroup.__init__"] = groups.FiniteGroup.__init__
+    return bound
+
+
+def test_traced_functor_replay(capsys):
+    # the benchmark's traced pass replays commands through main with every layer wrapped
+    tracer = _load_tracing().Tracer()
+    before = _package_functions()
+    tracer.install()
+    try:
+        tracer.begin_command()
+        code, out = run_cli(capsys, "functor", "check", "--ambient", "S3")
+    finally:
+        tracer.uninstall()
+    after = _package_functions()
+    assert code == 0 and json.loads(out)["payload"]["all_hold"]
+    assert tracer.calls["functor.subgroup_category"] == 1
+    category = subgroup_category(group_from_name("S3"))
+    assert tracer.morphisms == sum(map(len, category.homsets.values())) == 34  # per table pair
+    assert all(after[key] is value for key, value in before.items())
 
 
 def test_json_round_trips_through_schema(capsys):
@@ -274,7 +319,11 @@ _keys = st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", 
 
 
 def _records(children):
-    """Lists of dicts with one shared key set: the writer's record path."""
+    """Lists of dicts with one shared key set, which the writer takes as plain lists.
+
+    Record lists in payloads are ``_Rows``; a list of dicts must still come out
+    exactly as ``json.dumps`` writes it.
+    """
     column = children | st.integers(0, 2) | st.booleans() | st.lists(st.integers(0, 3))
     return st.lists(_keys, max_size=4, unique=True).flatmap(
         lambda keys: st.lists(

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import plesken_lab.functor as functor
 from plesken_lab import (
     AlgebraElement,
     SubgroupCategory,
@@ -85,22 +86,24 @@ def test_morphism_map_respects_composition_chains(catalog):
 
 def test_subgroup_category_invariants(catalog):
     C = subgroup_category(catalog["S3"])
-    n = len(C.objects)
-    assert [b.group for b in C.bases] == list(C.objects)
-    for i, obj in enumerate(C.objects):
-        images = [f.image for f in C.homsets[(i, i)]]
-        assert identity_hom(obj).image in images
+    n = len(C.bases)  # S3's 6 subgroups lie on 4 tables: 1, C2 (three of them), C3, S3
+    assert n == 4 and C.table == (0, 1, 1, 1, 2, 3)
+    assert [b.group for b in C.bases] == [C.objects[C.table.index(a)] for a in range(n)]
+    assert all(obj.cayley == C.bases[a].group.cayley for obj, a in zip(C.objects, C.table))
+    for a, basis in enumerate(C.bases):
+        images = [f.image for f in C.homsets[(a, a)]]
+        assert identity_hom(basis.group).image in images
     assert set(C.lifts) == set(C.homsets)
-    for (i, j), homset in C.homsets.items():
-        assert list(C.lifts[(i, j)]) == [f.image for f in homset]
+    for (a, b), homset in C.homsets.items():
+        assert list(C.lifts[(a, b)]) == [f.image for f in homset]
         for f in homset:
-            assert C.lifts[(i, j)][f.image] == lift_hom_hat(f).action
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                available = {f.image for f in C.homsets[(i, k)]}
-                for f1 in C.homsets[(i, j)]:
-                    for f2 in C.homsets[(j, k)]:
+            assert C.lifts[(a, b)][f.image] == lift_hom_hat(f).action
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                available = {f.image for f in C.homsets[(a, c)]}
+                for f1 in C.homsets[(a, b)]:
+                    for f2 in C.homsets[(b, c)]:
                         assert compose_homs(f2, f1).image in available
 
 
@@ -128,15 +131,15 @@ def _check_against_reference(C):
     return report
 
 
-def _touching(C, i, j):
-    """The (source, middle, target) triples whose law reads Hom(i, j)."""
-    n = len(C.objects)
+def _touching(C, a, b):
+    """The (source, middle, target) object triples whose law reads the table pair (a, b)."""
+    t, n = C.table, len(C.objects)
     return {
-        (a, b, c)
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-        if (i, j) in ((a, b), (b, c), (a, c))
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if (a, b) in ((t[i], t[j]), (t[j], t[k]), (t[i], t[k]))
     }
 
 
@@ -145,21 +148,20 @@ def _failing(report):
 
 
 def _top_automorphism(C):
-    """Index of the whole group among the objects and a non-identity automorphism."""
+    """Index of the whole group among the objects, its table and a non-identity automorphism."""
     top = len(C.objects) - 1
+    t = C.table[top]
     ident = identity_hom(C.objects[top]).image
-    autos = [f for f in C.homsets[(top, top)] if len(set(f.image)) == len(ident)]
-    return top, next(f for f in autos if f.image != ident)
+    autos = [f for f in C.homsets[(t, t)] if len(set(f.image)) == len(ident)]
+    return top, t, next(f for f in autos if f.image != ident)
 
 
 def test_functor_laws_fail_when_a_composite_is_missing(catalog):
     C = subgroup_category(catalog["S3"])
-    top, auto = _top_automorphism(C)
+    top, t, auto = _top_automorphism(C)
     homsets = dict(C.homsets)
-    homsets[(top, top)] = tuple(f for f in homsets[(top, top)] if f != auto)
-    report = _check_against_reference(
-        SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
-    )
+    homsets[(t, t)] = tuple(f for f in homsets[(t, t)] if f != auto)
+    report = _check_against_reference(SubgroupCategory(C.ambient, C.objects, homsets))
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
     assert not next(
@@ -169,33 +171,76 @@ def test_functor_laws_fail_when_a_composite_is_missing(catalog):
 
 def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     C = subgroup_category(catalog["S3"])
-    top, auto = _top_automorphism(C)
-    lift = C.lifts[(top, top)][auto.image]
+    top, t, auto = _top_automorphism(C)
+    lift = C.lifts[(t, t)][auto.image]
     flipped = tuple(None if e is None else (e[0], -e[1]) for e in lift)
     assert flipped != lift
-    C.lifts[(top, top)][auto.image] = flipped
+    C.lifts[(t, t)][auto.image] = flipped
     report = _check_against_reference(C)
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
-    assert _failing(report) == _touching(C, top, top)
+    assert _failing(report) == _touching(C, t, t)
 
     C = subgroup_category(catalog["S3"])
     ident = identity_hom(C.objects[top]).image
-    C.lifts[(top, top)][ident] = (None,) * len(C.lifts[(top, top)][ident])
+    C.lifts[(t, t)][ident] = (None,) * len(C.lifts[(t, t)][ident])
     report = check_functor_laws(C)
     assert not report.identity[top].ok
     assert not report.all_hold
 
 
 def test_homsets_match_a_search_per_pair(catalog):
-    # one search per pair of distinct tables gives each pair its own search's homset
+    # one search per pair of distinct tables gives each object pair its own search's homset
     for spec, G in catalog.items():
         C = subgroup_category(G)
-        for (i, j), homset in C.homsets.items():
-            searched = enumerate_homs(C.objects[i], C.objects[j])
-            assert [f.image for f in homset] == [f.image for f in searched], (spec, i, j)
-            assert all(f.domain is C.objects[i] for f in homset)
-            assert all(f.codomain is C.objects[j] for f in homset)
+        for i, Gi in enumerate(C.objects):
+            for j, Gj in enumerate(C.objects):
+                homset = C.homsets[(C.table[i], C.table[j])]
+                searched = enumerate_homs(Gi, Gj)
+                assert [f.image for f in homset] == [f.image for f in searched], (spec, i, j)
+                # the homs are shared by every object pair on these tables, so their domain
+                # and codomain are the first objects on them: equal tables, not these objects
+                assert all(f.domain == Gi and f.codomain == Gj for f in homset)
+
+
+@pytest.mark.parametrize("spec,tables,homs", [
+    ("C2", 2, 5), ("C3", 2, 6), ("C6", 4, 30), ("K4", 3, 31),
+    ("S3", 4, 34), ("D4", 5, 153), ("S4", 13, 1493), ("H3", 6, 2696),
+])
+def test_one_homset_per_table_pair(catalog, spec, tables, homs):
+    C = subgroup_category(catalog[spec])
+    firsts = [C.objects[C.table.index(a)] for a in range(tables)]
+    assert sorted(set(C.table)) == list(range(tables))
+    assert list(C.homsets) == [(a, b) for a in range(tables) for b in range(tables)]
+    for (a, b), homset in C.homsets.items():
+        assert homset == tuple(enumerate_homs(firsts[a], firsts[b]))
+        assert all(f.domain is firsts[a] and f.codomain is firsts[b] for f in homset)
+    assert sum(map(len, C.homsets.values())) == homs
+
+
+def test_hom_search_runs_once_per_table_pair(catalog, monkeypatch):
+    searched = []
+
+    def counted(G, H):
+        searched.append((G.cayley, H.cayley))
+        return enumerate_homs(G, H)
+
+    monkeypatch.setattr(functor, "enumerate_homs", counted)
+    C = subgroup_category(catalog["S4"])
+    assert len(searched) == len(set(searched)) == len(C.homsets) == 13**2
+
+
+def test_category_refuses_homsets_not_keyed_by_table_pairs(catalog):
+    C = subgroup_category(catalog["S3"])
+    t = C.table
+    per_object_pair = {
+        (i, j): C.homsets[(t[i], t[j])] for i in range(len(t)) for j in range(len(t))
+    }
+    missing = {ab: homset for ab, homset in C.homsets.items() if ab != (1, 2)}
+    for homsets in (per_object_pair, missing):
+        with pytest.raises(ValueError, match="keyed by pairs of the 4 object tables"):
+            SubgroupCategory(C.ambient, C.objects, homsets)
+    SubgroupCategory(C.ambient, C.objects, dict(C.homsets))  # the table pairs themselves
 
 
 def _c2_objects(C):
@@ -204,27 +249,17 @@ def _c2_objects(C):
     return c2
 
 
-def test_law_sharing_keeps_equal_table_homsets_apart(catalog):
-    # S3's three C2 subgroups share one table, so their homsets share contents
+def test_equal_table_objects_share_a_corrupted_lift(catalog):
+    # S3's three C2 subgroups share one table, so every pair of them reads one homset
     C = subgroup_category(catalog["S3"])
     a, b, c = _c2_objects(C)
-    homsets = dict(C.homsets)
-    iso = next(f for f in homsets[(a, b)] if f.image != (0, 0))
-    homsets[(a, b)] = tuple(f for f in homsets[(a, b)] if f is not iso)
-    D = SubgroupCategory(C.ambient, C.objects, C.bases, homsets)
-    report = check_functor_laws(D)
-    assert list(report.composition) == composition_law_by_pairs(D)
-    failing = _failing(report)
-    assert (a, c, b) in failing and (b, c, a) not in failing  # same tables, other homsets
-
-    C = subgroup_category(catalog["S3"])
-    image = C.homsets[(a, b)][0].image
-    C.lifts[(a, b)][image] = (None,)  # a C2 has no basis hat: the true lift is ()
-    # (a) fails every triple that reads Hom(a, b); the reference fails the 11 of these
-    # 16 whose pairs read the corrupted lift, and no others
+    t = C.table[a]
+    image = C.homsets[(t, t)][0].image
+    C.lifts[(t, t)][image] = (None,)  # a C2 has no basis hat: the true lift is ()
+    # (a) fails every object triple that reads Hom(t, t), whichever C2s it names
     report = _check_against_reference(C)
-    assert _failing(report) == _touching(C, a, b)
-    assert (b, c, a) not in _failing(report)
+    assert _failing(report) == _touching(C, t, t)
+    assert {(a, b, c), (b, c, a), (c, c, c)} <= _failing(report)
 
 
 @pytest.mark.parametrize("spec", ["C3", "C5", "C9", "C15", "H3"])

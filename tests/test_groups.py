@@ -106,10 +106,22 @@ def test_odd_prime_test_accepts_large_primes(p):
 @pytest.mark.parametrize("kind,param", [
     ("heisenberg", 2), ("heisenberg", 4), ("heisenberg", 9),
     ("cyclic", 0), ("dihedral", 0), ("symmetric", 0),
+    ("cyclic", 3.0), ("cyclic", "3"), ("symmetric", None), ("heisenberg", False),
 ])
 def test_invalid_spec_parameters(kind, param):
     with pytest.raises(InvalidSpec):
         GroupSpec(kind, param)
+
+
+@pytest.mark.parametrize("kind,param", [
+    ("cyclic", 6), ("symmetric", 4), ("dihedral", 5), ("heisenberg", 3), ("klein4", None),
+    ("cyclic", True),  # read as 1, the way the library reads every index: prints C1
+    ("heisenberg", 1001),  # 7 * 11 * 13, above the order limit: build_group refuses it
+])
+def test_spec_str_round_trips(kind, param):
+    spec = GroupSpec(kind, param)
+    assert GroupSpec.parse(str(spec)) == spec
+    assert spec.param is None or type(spec.param) is int
 
 
 def test_cyclic3_structure(catalog):
