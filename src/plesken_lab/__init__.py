@@ -37,7 +37,7 @@ _MODULE_NAMES = {
         "SearchTooLarge",
     ),
     "functor": (
-        "FaithfulnessWitness",
+        "FaithfulnessClass",
         "FullnessReport",
         "LawReport",
         "SubgroupCategory",

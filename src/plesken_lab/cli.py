@@ -21,7 +21,7 @@ from .groups import CONVENTIONS, GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -175,7 +175,6 @@ def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dic
 def _run_functor(args) -> tuple[dict, int]:
     from .functor import (
         CompositionLawResult,
-        FaithfulnessWitness,
         FullnessPairResult,
         check_full,
         check_functor_laws,
@@ -208,9 +207,12 @@ def _run_functor(args) -> tuple[dict, int]:
         if not report.all_full:
             code = EXIT_LAW_VIOLATION
     else:
-        witnesses = find_faithfulness_counterexample(category)
-        payload["witnesses"] = _Rows(FaithfulnessWitness._fields, witnesses)
-        payload["count"] = len(witnesses)
+        classes = find_faithfulness_counterexample(category)
+        payload["classes"] = _Rows(
+            ("source", "target", "images"),
+            ((i, j, list(map(list, images))) for i, j, images in classes),
+        )
+        payload["count"] = sum(len(c.images) * (len(c.images) - 1) // 2 for c in classes)
     return payload, code
 
 

@@ -3,7 +3,7 @@
 Objects are the subgroups of an ambient group; morphisms are the linear lifts
 of all group homomorphisms between them.  The checks here verify the identity
 and composition laws of the object/morphism assignment, its surjectivity on
-induced maps, and exhibit pairs of distinct morphisms with equal images.
+induced maps, and exhibit classes of distinct morphisms with equal images.
 """
 
 from __future__ import annotations
@@ -204,32 +204,27 @@ def check_full(category: SubgroupCategory) -> FullnessReport:
     ))
 
 
-class FaithfulnessWitness(
-    namedtuple("FaithfulnessWitness", "source target image_a image_b")
-):
-    """Two distinct bar lifts between the same objects with equal hat lifts."""
+class FaithfulnessClass(namedtuple("FaithfulnessClass", "source target images")):
+    """Two or more morphisms between the same objects with equal hat lifts, images ascending."""
 
     __slots__ = ()
 
 
-def find_faithfulness_counterexample(category: SubgroupCategory) -> list[FaithfulnessWitness]:
-    """All pairs of distinct morphisms that collapse to the same hat lift.
+def find_faithfulness_counterexample(category: SubgroupCategory) -> list[FaithfulnessClass]:
+    """Each class of two or more morphisms with one hat lift, sorted by (source, target, images).
 
-    The classes of equal lifts are found once per table pair.
+    The classes are found once per table pair.
     """
-    classes = {}  # classes[a, b]: the image tables of Hom(a, b) that share each lift
+    classes = {}  # classes[a, b]: the image tables of Hom(a, b) that share each lift, sorted
     for ab, lifts in category.lifts.items():
         by_lift: dict[HatMap, list[tuple[int, ...]]] = {}
         for image, action in lifts.items():
             by_lift.setdefault(action, []).append(image)
-        classes[ab] = [images for images in by_lift.values() if len(images) > 1]
+        classes[ab] = sorted(tuple(sorted(c)) for c in by_lift.values() if len(c) > 1)
     table = category.table
-    out: list[FaithfulnessWitness] = []
-    for i, a in enumerate(table):
-        for j, b in enumerate(table):
-            for images in classes[a, b]:
-                for x, image_a in enumerate(images):
-                    for image_b in images[x + 1 :]:
-                        out.append(FaithfulnessWitness(i, j, image_a, image_b))
-    out.sort()
-    return out
+    return [
+        FaithfulnessClass(i, j, images)
+        for i, a in enumerate(table)
+        for j, b in enumerate(table)
+        for images in classes[a, b]
+    ]

@@ -104,9 +104,14 @@ class GroupSpec(_Frozen):
             raise InvalidSpec(f"unknown group kind {kind!r}")
         elif not hasattr(param, "__index__") or (param := index(param)) < 1:
             raise InvalidSpec(f"{kind} needs a positive integer parameter")
-        elif kind == "heisenberg" and param**3 <= GROUP_ORDER_LIMIT and not _is_odd_prime(param):
-            # a larger p is refused by build_group's order guard (exit 3), with no primality test
-            raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {param}")
+        else:
+            try:
+                str(param)  # the spec must be writable, as GroupSpec.parse reads only such text
+            except ValueError:
+                raise InvalidSpec(f"{kind} parameter has more digits than str() writes") from None
+            if kind == "heisenberg" and param**3 <= GROUP_ORDER_LIMIT and not _is_odd_prime(param):
+                # a larger p meets build_group's order guard (exit 3), with no primality test
+                raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {param}")
         _set(self, "kind", kind)
         _set(self, "param", param)
 

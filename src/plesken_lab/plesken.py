@@ -8,6 +8,7 @@ vectors use the sparse-vector arithmetic of ``algebra._Vector``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 
 from .algebra import AlgebraElement, ONE, Scalar, ZERO, _Vector, lie_bracket
@@ -140,20 +141,33 @@ def structure_constants(B: PleskenBasis) -> dict[tuple[int, int], dict[int, int]
     Read straight from [g^, h^] = (gh)^ - (gh^{-1})^ - (g^{-1}h)^ + (g^{-1}h^{-1})^:
     each product is a signed basis hat or zero.  Only nonzero brackets and
     entries are stored; [e_l, e_k] is the negative and [e_k, e_k] is zero.
+
+    Row k reads the four products for every l > k at once, through ``plus[x]``
+    (the position of x as (m, +-1), None for an involution) and ``minus[x]``
+    (its negative); the sorted terms of a bracket are its entries unless two
+    share an m.
     """
-    t, inv, position = B.group.cayley, B.group.inv, B.position
+    G, reps = B.group, B.reps
+    t, inv = G.cayley, G.inv
+    position = list(map(B._positions.get, range(G.order)))
+    plus = position.__getitem__
+    minus = [p and (p[0], -p[1]) for p in position].__getitem__
+    rep_invs = tuple(map(inv.__getitem__, reps))
     table: dict[tuple[int, int], dict[int, int]] = {}
-    for k, g in enumerate(B.reps):
-        gi = inv[g]
-        for l in range(k + 1, B.dimension):
-            h = B.reps[l]
-            hi = inv[h]
-            acc: dict[int, int] = {}
-            for p, sign in ((t[g][h], 1), (t[g][hi], -1), (t[gi][h], -1), (t[gi][hi], 1)):
-                pos = position(p)
-                if pos is not None:
-                    acc[pos[0]] = acc.get(pos[0], 0) + sign * pos[1]
-            entries = {m: c for m, c in sorted(acc.items()) if c}
+    for k, g in enumerate(reps):
+        row, row_i = t[g].__getitem__, t[inv[g]].__getitem__
+        hs, his = reps[k + 1 :], rep_invs[k + 1 :]
+        products = zip(
+            map(plus, map(row, hs)), map(minus, map(row, his)),
+            map(minus, map(row_i, hs)), map(plus, map(row_i, his)),
+        )
+        for l, terms in enumerate(map(sorted, map(filter, repeat(None), products)), k + 1):
+            entries = dict(terms)
+            if len(entries) < len(terms):  # two terms on one m: add them up
+                entries = {}
+                for m, c in terms:
+                    entries[m] = entries.get(m, 0) + c
+                entries = {m: c for m, c in entries.items() if c}
             if entries:
                 table[(k, l)] = entries
     return table

@@ -4,13 +4,15 @@ Nothing here reuses the library's search or reduction code paths: ranks come
 from plain Fraction elimination, homomorphism sets from exhaustive map
 search, subgroup sets from full subset closure, matrix inverses from
 search over the whole matrix group, the functor's composition law from
-every composable pair, and the group axioms from every triple of a table.
+every composable pair, its equal lifts from the hat of every hom image,
+and the group axioms from every triple of a table.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
@@ -60,17 +62,31 @@ def compose_permutations(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, .
 
 
 def all_hom_tables(G, H) -> list[tuple[int, ...]]:
-    """Every multiplicative map table, found by checking all |H|^|G| maps."""
+    """Every multiplicative map table, in ascending order.
+
+    Maps are built one element at a time, in index order, over every value in
+    ``H``; a partial map is dropped as soon as some x*y with x, y and x*y
+    mapped breaks ``image[x*y] == image[x]*image[y]``, which no extension can
+    mend.  So this is the scan of all |H|^|G| maps, less the dead branches.
+    """
+    n, t, u = G.order, G.cayley, H.cayley
+    checks = [[] for _ in range(n)]  # checks[z]: the (x, y, x*y) with largest entry z
+    for x in range(n):
+        for y in range(n):
+            checks[max(x, y, t[x][y])].append((x, y, t[x][y]))
     out = []
-    for image in itertools.product(range(H.order), repeat=G.order):
-        if image[G.identity] != H.identity:
-            continue
-        if all(
-            image[G.cayley[x][y]] == H.cayley[image[x]][image[y]]
-            for x in range(G.order)
-            for y in range(G.order)
-        ):
-            out.append(image)
+    image = [0] * n
+
+    def extend(z: int) -> None:
+        if z == n:
+            out.append(tuple(image))
+            return
+        for v in range(H.order):
+            image[z] = v
+            if all(image[xy] == u[image[x]][image[y]] for x, y, xy in checks[z]):
+                extend(z + 1)
+
+    extend(0)
     return out
 
 
@@ -135,3 +151,30 @@ def unitriangular_inverse_by_search(p: int, a: int, b: int, c: int) -> tuple[int
         ):
             return a2, b2, c2
     raise AssertionError("no inverse found; not a group element")
+
+
+def equal_lift_pairs(ambient) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """(source, target, image_a, image_b), sorted, for every two homs with one hat lift.
+
+    The objects are the subsets of ``all_subgroup_sets``, ordered by size and
+    then by their sorted members, each on the local indices of its sorted
+    members; homs come from ``all_hom_tables``.  A hom f sends the hat
+    g - g^-1 to f(g) - f(g)^-1, which is zero when f(g) is its own inverse
+    and otherwise names f(g) by its +1 term.  So two homs have equal lifts
+    exactly when they agree wherever either image is not its own inverse.
+    """
+    objects = []
+    for members in sorted(map(sorted, all_subgroup_sets(ambient)), key=lambda s: (len(s), s)):
+        pos = {g: i for i, g in enumerate(members)}
+        cayley = [[pos[ambient.cayley[x][y]] for y in members] for x in members]
+        e = pos[ambient.identity]
+        inverse = [row.index(e) for row in cayley]
+        objects.append((SimpleNamespace(order=len(members), identity=e, cayley=cayley), inverse))
+    out = []
+    for (i, (G, _)), (j, (H, inverse)) in itertools.product(enumerate(objects), repeat=2):
+        homs = all_hom_tables(G, H)
+        hats = [[x if inverse[x] != x else None for x in image] for image in homs]
+        for (image_a, hats_a), (image_b, hats_b) in itertools.combinations(zip(homs, hats), 2):
+            if hats_a == hats_b:
+                out.append((i, j, image_a, image_b))
+    return sorted(out)

@@ -35,7 +35,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["exit_code"] == 0
     payload = report["payload"]
     assert payload["order"] == 4
@@ -123,9 +123,16 @@ def test_functor_counterexample_k4(capsys):
     code, report = run_json(capsys, "functor", "counterexample", "--ambient", "K4")
     assert code == 0
     payload = report["payload"]
-    assert payload["count"] == len(payload["witnesses"]) > 0
-    assert {"image_a": [0, 0, 0, 0], "image_b": [0, 1, 2, 3], "source": 4,
-            "target": 4} in payload["witnesses"]
+    classes = payload["classes"]
+    assert all(set(c) == {"source", "target", "images"} for c in classes)
+    # count stays the number of pairs: m(m-1)/2 for a class of m morphisms
+    assert payload["count"] == sum(len(c["images"]) * (len(c["images"]) - 1) // 2
+                                   for c in classes) == 165
+    assert any(
+        (c["source"], c["target"]) == (4, 4)
+        and [0, 0, 0, 0] in c["images"] and [0, 1, 2, 3] in c["images"]
+        for c in classes
+    )
 
 
 def test_functor_full_c6(capsys):
@@ -198,29 +205,62 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+COUNTEREXAMPLE = "functor counterexample "
+
+
+def _frozen_form(command: str, out: str) -> str:
+    """The bytes a frozen hash covers: schema 2 changed only the counterexample payload.
+
+    A counterexample report is taken as printed; any other report gets back the
+    schema 1 digit, which it was frozen under, and must then be byte-identical.
+    """
+    tail = '\n  "schema_version": "2"\n}\n'
+    assert out.endswith(tail), command
+    if command.startswith(COUNTEREXAMPLE):
+        return out
+    return out[: -len(tail)] + '\n  "schema_version": "1"\n}\n'
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_workload_commands_print_the_frozen_bytes(capsys):
-    # exit code and stdout sha256 of every benchmark command, as frozen by the benchmark
+    # every benchmark command passes the benchmark's own check, which a run it fails
+    # reports as incorrect output, and prints its frozen bytes: the schema 1 sha256
+    # frozen by the benchmark, or the schema 2 one frozen below for a counterexample
+    workloads = _load_perfbench("workloads")
     expected = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
     )["commands"]
     assert len(expected) == 25
+    assert set(expected) == {
+        workloads.command_key(args) for w in workloads.WORKLOADS.values() for args in w.commands
+    }
     for key, frozen in expected.items():
         code, out = run_cli(capsys, *key.split(" "))
         assert code == frozen["exit_code"], key
-        assert hashlib.sha256(out.encode()).hexdigest() == frozen["stdout_sha256"], key
+        assert workloads.check_output(frozen, code, out.encode()) is None, key
+        if key.startswith(COUNTEREXAMPLE):
+            frozen = {"stdout_sha256": FROZEN_FUNCTOR_STDOUT[key]}
+        assert _sha256(_frozen_form(key, out)) == frozen["stdout_sha256"], key
 
 
-# stdout sha256 of functor commands that perfbench/expected.json does not cover, frozen
-# before homsets shared one hom search per pair of distinct tables
+# stdout sha256 of functor commands: `check` frozen under schema 1 before homsets shared
+# one hom search per pair of distinct tables, `counterexample` under schema 2
 FROZEN_FUNCTOR_STDOUT = {
     "functor check --ambient S4":
         "256e402afcdd98fdd666ee9c84b4978ce64320c42f2b4fa334b606fa0ed68899",
     "functor check --ambient H3":
         "1133adccf6d04422502d1d4a604ed5d3b215db7f9ab7d703ace15009f60090f9",
+    "functor counterexample --ambient K4":
+        "cf8ca77e5d8412c2210d69da10338ca3c9eb1b40b0811163f7ecb0f72a1434ad",
+    "functor counterexample --ambient S4":
+        "cfc21f0e65c5f0119a7c1f58c6936c5d868c47743b5916d1b6b57bfd04244116",
     "functor counterexample --ambient D6":
-        "146d903208869dca3bf8239d50761966704552e4c4078e8b88cb7adad20fb016",
+        "b5ef732daac6276b1a86e6f97941815a0de26f07e1fcd7f343ea623df972658a",
     "functor counterexample --ambient H3":
-        "ec36aa98ea95b5c9cc5cd012dcbb309ce4685472c458074383e1e5f37592698f",
+        "3d5f3fb37d392d33160c982944084769e066f47c59819cd145d200c5a558699e",
 }
 
 
@@ -228,7 +268,7 @@ FROZEN_FUNCTOR_STDOUT = {
 def test_functor_commands_print_the_frozen_bytes(capsys, command):
     code, out = run_cli(capsys, *command.split(" "))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FUNCTOR_STDOUT[command]
+    assert _sha256(_frozen_form(command, out)) == FROZEN_FUNCTOR_STDOUT[command]
 
 
 @pytest.mark.parametrize("argv,read_first", [
@@ -254,17 +294,19 @@ def test_broken_pipe_exits_141_without_a_traceback(argv, read_first):
     assert stderr == b""
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(name: str):
+    """A module of the benchmark, which is not a package, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass reads its module from sys.modules
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_exists():
     # the benchmark's tracer wraps these functions by name in each layer module
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     for layer, names in tracing.LAYER_FUNCTIONS.items():
         module = importlib.import_module(f"plesken_lab.{layer}")
         for name in names:
@@ -286,7 +328,7 @@ def _package_functions():
 
 def test_traced_functor_replay(capsys):
     # the benchmark's traced pass replays commands through main with every layer wrapped
-    tracer = _load_tracing().Tracer()
+    tracer = _load_perfbench("tracing").Tracer()
     before = _package_functions()
     tracer.install()
     try:

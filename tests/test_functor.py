@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -26,7 +27,7 @@ from plesken_lab import (
     subgroup_category,
     trivial_hom,
 )
-from oracles import compose_hat_maps, composition_law_by_pairs
+from oracles import compose_hat_maps, composition_law_by_pairs, equal_lift_pairs
 
 
 def test_object_map_examples(catalog):
@@ -288,21 +289,30 @@ def test_fullness_covers_mixed_object_pairs(catalog):
     assert pair.ok and pair.morphisms >= pair.distinct_images >= 1
 
 
+def _pairs(classes):
+    """(source, target, image_a, image_b) for every two members of each class, sorted."""
+    return sorted(
+        (c.source, c.target, a, b) for c in classes for a, b in combinations(c.images, 2)
+    )
+
+
 def test_k4_witness_contains_identity_vs_trivial(catalog):
     C = subgroup_category(catalog["K4"])
-    witnesses = find_faithfulness_counterexample(C)
-    assert witnesses
+    classes = find_faithfulness_counterexample(C)
+    assert classes
     k4_index = len(C.objects) - 1
     assert C.objects[k4_index].order == 4
     assert all(b.dimension == 0 for b in C.bases)
     found = [
-        w
-        for w in witnesses
-        if (w.source, w.target) == (k4_index, k4_index)
-        and w.image_a == (0, 0, 0, 0)
-        and w.image_b == (0, 1, 2, 3)
+        c
+        for c in classes
+        if (c.source, c.target) == (k4_index, k4_index)
+        and {(0, 0, 0, 0), (0, 1, 2, 3)} <= set(c.images)
     ]
     assert len(found) == 1
+    # every hom into or out of a zero hat span lifts to the zero map: one class per homset
+    t = C.table[k4_index]
+    assert found[0].images == tuple(sorted(f.image for f in C.homsets[(t, t)]))
 
 
 def test_c3_category_is_faithful(catalog):
@@ -311,14 +321,22 @@ def test_c3_category_is_faithful(catalog):
 
 def test_c2_category_witness_count(catalog):
     C = subgroup_category(catalog["C2"])
-    witnesses = find_faithfulness_counterexample(C)
-    # the only homset with more than one morphism is end(C2) with 2 maps
-    assert len(witnesses) == 1
-    assert witnesses[0].image_a == (0, 0) and witnesses[0].image_b == (0, 1)
+    classes = find_faithfulness_counterexample(C)
+    # the only homset with more than one morphism is end(C2) with 2 maps: one class, one pair
+    assert classes == [(1, 1, ((0, 0), (0, 1)))]
+    assert _pairs(classes) == [(1, 1, (0, 0), (0, 1))]
 
 
 def test_witnesses_are_sorted(catalog):
-    witnesses = find_faithfulness_counterexample(subgroup_category(catalog["K4"]))
-    keys = [(w.source, w.target, w.image_a, w.image_b) for w in witnesses]
-    assert keys == sorted(keys)
-    assert all(w.image_a < w.image_b for w in witnesses)
+    classes = find_faithfulness_counterexample(subgroup_category(catalog["K4"]))
+    keys = [(c.source, c.target, c.images) for c in classes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(len(c.images) >= 2 and list(c.images) == sorted(set(c.images)) for c in classes)
+
+
+@pytest.mark.parametrize("spec", ["C2", "K4", "S3", "D4", "D6"])
+def test_classes_expand_to_the_equal_lift_pairs(spec):
+    # two members of one class are a pair the oracle finds, and every such pair is in a
+    # class: a merged class adds pairs, a dropped member loses them
+    G = group_from_name(spec)
+    assert _pairs(find_faithfulness_counterexample(subgroup_category(G))) == equal_lift_pairs(G)

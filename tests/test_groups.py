@@ -107,6 +107,9 @@ def test_odd_prime_test_accepts_large_primes(p):
     ("heisenberg", 2), ("heisenberg", 4), ("heisenberg", 9),
     ("cyclic", 0), ("dihedral", 0), ("symmetric", 0),
     ("cyclic", 3.0), ("cyclic", "3"), ("symmetric", None), ("heisenberg", False),
+    # more digits than str() writes, so the spec could not be shown or parsed back
+    *(pytest.param(kind, 10**5000, id=f"{kind}-10^5000")
+      for kind in ("cyclic", "symmetric", "dihedral", "heisenberg")),
 ])
 def test_invalid_spec_parameters(kind, param):
     with pytest.raises(InvalidSpec):
@@ -249,6 +252,18 @@ def test_validate_hom_agrees_with_every_pair_check(catalog, small_catalog, dom, 
             compose_homs(f2, f1) for f1 in enumerate_homs(G, K) for f2 in enumerate_homs(K, H)
         ]
     assert {f.image for f in built} <= homs
+
+
+@pytest.mark.parametrize("dom,cod", [("C3", "C3"), ("S3", "S3"), ("K4", "C6"), ("D4", "C2")])
+def test_hom_oracle_is_the_scan_of_every_map(catalog, dom, cod):
+    # the oracle drops a partial map only when a product among its elements already breaks
+    G, H = catalog[dom], catalog[cod]
+    r = range(G.order)
+    scan = [
+        image for image in itertools.product(range(H.order), repeat=G.order)
+        if all(image[G.cayley[x][y]] == H.cayley[image[x]][image[y]] for x in r for y in r)
+    ]
+    assert all_hom_tables(G, H) == scan
 
 
 def test_group_hom_refuses_a_map_that_agrees_on_the_generators(catalog):

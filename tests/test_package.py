@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
         "SearchTooLarge",
     ),
     "functor": (
-        "FaithfulnessWitness", "FullnessReport", "LawReport", "SubgroupCategory", "check_full",
+        "FaithfulnessClass", "FullnessReport", "LawReport", "SubgroupCategory", "check_full",
         "check_functor_laws", "find_faithfulness_counterexample", "morphism_map", "object_map",
         "subgroup_category",
     ),
