@@ -62,7 +62,6 @@ _MODULE_NAMES = {
         "validate_hom",
     ),
     "plesken": (
-        "HatLift",
         "PleskenBasis",
         "PleskenElement",
         "bracket_expansion_check",

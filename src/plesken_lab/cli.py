@@ -21,7 +21,7 @@ from .groups import CONVENTIONS, GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=CONVENTIONS,
         default="literal",
         help="object-map convention",
-    )
-    shared.add_argument(
-        "--seed", type=int, default=0, help="seed for property-sample commands"
     )
 
     parser = argparse.ArgumentParser(
@@ -75,13 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"verb", "format", "convention", "seed"}
+    skip = {"verb", "format", "convention"}
     return {
         "verb": args.verb,
         "args": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
         "format": args.format,
         "convention": args.convention,
-        "seed": args.seed,
     }
 
 
@@ -139,37 +135,28 @@ def _run_homs(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _object_map_samples(G, convention: str, seed: int, samples: int = 20) -> dict:
-    from random import Random
+def _object_map_check(G, convention: str) -> dict:
+    """Whether ``object_map`` sends every element g of G to k times its basis hat.
 
-    from .algebra import random_element, random_scalar
+    The hat of g is +-e_pos(g), zero for an involution; k is 2 for ``literal``
+    and 1 for ``pairwise``.  ``object_map`` is linear, so these |G| values decide it.
+    """
+    from .algebra import AlgebraElement
     from .functor import object_map
-    from .plesken import canonical_basis, reduce
+    from .plesken import PleskenElement, canonical_basis, reduce
 
-    rng = Random(seed)
+    k = 2 if convention == "literal" else 1
     basis = canonical_basis(G)
-    linear_ok = True
-    in_span_ok = True
-    for _ in range(samples):
-        x = random_element(G, rng)
-        y = random_element(G, rng)
-        a = random_scalar(rng)
-        b = random_scalar(rng)
-        lhs = object_map(a * x + b * y, convention)
-        rhs = a * object_map(x, convention) + b * object_map(y, convention)
-        if lhs != rhs:
-            linear_ok = False
+
+    def holds(g: int) -> bool:
+        pos = basis.position(g)
+        expected = PleskenElement(basis, {} if pos is None else {pos[0]: k * pos[1]})
         try:
-            reduce(object_map(x, convention), basis)
+            return reduce(object_map(AlgebraElement.basis(G, g), convention), basis) == expected
         except PleskenLabError:
-            in_span_ok = False
-    return {
-        "convention": convention,
-        "seed": seed,
-        "samples": samples,
-        "linear_ok": linear_ok,
-        "in_span_ok": in_span_ok,
-    }
+            return False
+
+    return {"convention": convention, "ok": all(map(holds, range(G.order)))}
 
 
 def _run_functor(args) -> tuple[dict, int]:
@@ -193,12 +180,12 @@ def _run_functor(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)
-        samples = _object_map_samples(ambient, args.convention, args.seed)
+        object_check = _object_map_check(ambient, args.convention)
         payload["identity_law"] = _Rows(("object", "ok"), report.identity)
         payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
-        payload["object_map"] = samples
+        payload["object_map"] = object_check
         payload["all_hold"] = report.all_hold
-        if not (report.all_hold and samples["linear_ok"] and samples["in_span_ok"]):
+        if not (report.all_hold and object_check["ok"]):
             code = EXIT_LAW_VIOLATION
     elif args.action == "full":
         report = check_full(category)
@@ -268,6 +255,9 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
     lines = [f"ambient: {payload['ambient']}", f"objects: {len(payload['objects'])}"]
     if "all_hold" in payload:
         lines.append(f"laws hold: {payload['all_hold']}")
+        object_check = payload["object_map"]
+        verdict = "ok" if object_check["ok"] else "failed"
+        lines.append(f"object map ({object_check['convention']}): {verdict}")
     if "all_full" in payload:
         lines.append(f"full: {payload['all_full']}")
     if "count" in payload:

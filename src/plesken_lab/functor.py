@@ -15,7 +15,7 @@ from itertools import product
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
 from .groups import CONVENTIONS
-from .plesken import HatLift, HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
+from .plesken import HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
 
 
 def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement:
@@ -38,8 +38,8 @@ def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement
     return AlgebraElement(G, acc)
 
 
-def morphism_map(fbar: BarLift) -> HatLift:
-    """Send the bar lift of a group homomorphism to its hat lift."""
+def morphism_map(fbar: BarLift) -> HatMap:
+    """Send the bar lift of a group homomorphism to its hat lift, as an integer hat map."""
     return lift_hom_hat(fbar.hom)
 
 

@@ -182,62 +182,9 @@ def hat_map(image, domain_basis: PleskenBasis, codomain_basis: PleskenBasis) -> 
     return tuple(map(codomain_basis._positions.get, map(image.__getitem__, domain_basis.reps)))
 
 
-class HatLift(_Frozen):
-    """Induced map between hat-span Lie algebras, stored as its integer hat map.
-
-    ``action[k]`` is (m, +-1) when the k-th domain basis hat goes to +-e_m in
-    the codomain basis and None when it goes to zero (see ``hat_map``).  Two
-    lifts are equal exactly when their bases and actions agree, regardless
-    of which group homomorphism produced them.
-    """
-
-    __slots__ = ("hom", "domain_basis", "codomain_basis", "action")
-    _key = attrgetter("domain_basis", "codomain_basis", "action")
-
-    def __init__(
-        self,
-        hom: GroupHom,
-        domain_basis: PleskenBasis,
-        codomain_basis: PleskenBasis,
-        action: HatMap,
-    ) -> None:
-        _set(self, "hom", hom)
-        _set(self, "domain_basis", domain_basis)
-        _set(self, "codomain_basis", codomain_basis)
-        _set(self, "action", action)
-
-    def __call__(self, x: PleskenElement) -> PleskenElement:
-        if x.basis != self.domain_basis:
-            raise BasisMismatch("element does not live in the lift's domain")
-        acc: dict[int, Scalar] = {}
-        for k, c in x.coords.items():
-            entry = self.action[k]
-            if entry is not None:
-                m, s = entry
-                acc[m] = acc.get(m, ZERO) + (c if s > 0 else -c)
-        return PleskenElement(self.codomain_basis, acc)
-
-    def is_zero_map(self) -> bool:
-        return all(entry is None for entry in self.action)
-
-    def is_identity_map(self) -> bool:
-        if self.domain_basis != self.codomain_basis:
-            return False
-        return all(entry == (k, 1) for k, entry in enumerate(self.action))
-
-    def __repr__(self) -> str:
-        return (
-            f"HatLift(dim {self.domain_basis.dimension} -> "
-            f"{self.codomain_basis.dimension})"
-        )
-
-
-def lift_hom_hat(f: GroupHom) -> HatLift:
-    """The map sending each basis hat g^ to (f(g))^ in the codomain's basis."""
-    domain_basis = canonical_basis(f.domain)
-    codomain_basis = canonical_basis(f.codomain)
-    action = hat_map(f.image, domain_basis, codomain_basis)
-    return HatLift(f, domain_basis, codomain_basis, action)
+def lift_hom_hat(f: GroupHom) -> HatMap:
+    """The hat map of f: the k-th basis hat g^ goes to (f(g))^ in the codomain's basis."""
+    return hat_map(f.image, canonical_basis(f.domain), canonical_basis(f.codomain))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ from plain Fraction elimination, homomorphism sets from exhaustive map
 search, subgroup sets from full subset closure, matrix inverses from
 search over the whole matrix group, the functor's composition law from
 every composable pair, its equal lifts from the hat of every hom image,
-and the group axioms from every triple of a table.
+the group axioms from every triple of a table, Lie maps from every bracket
+of two basis hats, and the Cohen-Taylor dimensions from character degrees
+in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from math import factorial, prod
 from types import SimpleNamespace
 
 
@@ -117,6 +121,108 @@ def compose_hat_maps(first, second):
                 entry = (entry[0], -entry[1])
         out.append(entry)
     return tuple(out)
+
+
+def _table_bracket(table, a: int, b: int) -> dict[int, int]:
+    """[e_a, e_b] as {m: c}, read from a sparse table {(k, l): {m: c}} with k < l."""
+    if a == b:
+        return {}
+    sign = 1 if a < b else -1
+    return {m: sign * c for m, c in table.get((min(a, b), max(a, b)), {}).items()}
+
+
+def lie_map_violations(action, src_sc, dst_sc) -> list[tuple[int, int]]:
+    """Every k < l with f([e_k, e_l]) != [f(e_k), f(e_l)], for the map f = ``action``.
+
+    ``action[k]`` is (m, +-1) when f sends e_k to +-e_m and None when it sends
+    it to zero; ``src_sc`` and ``dst_sc`` are the structure-constant tables of
+    source and target.  Both sides are computed in the integer coordinates of
+    the target, so every bracket of two basis vectors is checked exactly.
+    """
+
+    def image(vector: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for m, c in vector.items():
+            if action[m] is not None:
+                n, s = action[m]
+                out[n] = out.get(n, 0) + s * c
+        return {n: c for n, c in out.items() if c}
+
+    def bracket_of_images(k: int, l: int) -> dict[int, int]:
+        if action[k] is None or action[l] is None:
+            return {}
+        (a, s), (b, t) = action[k], action[l]
+        return {m: s * t * c for m, c in _table_bracket(dst_sc, a, b).items()}
+
+    return [
+        (k, l)
+        for k, l in itertools.combinations(range(len(action)), 2)
+        if image(src_sc.get((k, l), {})) != bracket_of_images(k, l)
+    ]
+
+
+def center_and_derived_dims(table, dim: int) -> tuple[int, int]:
+    """(dim of the center, dim of [L, L]) of the Lie algebra on ``table``, by exact rank.
+
+    Row k of the adjoint matrix holds [e_k, e_l] for every l, so the center
+    has dimension ``dim`` less its rank; [L, L] is spanned by the [e_k, e_l].
+    """
+    adjoint = [
+        [c for l in range(dim) for c in _coordinates(_table_bracket(table, k, l), dim)]
+        for k in range(dim)
+    ]
+    derived = [
+        _coordinates(_table_bracket(table, k, l), dim)
+        for k, l in itertools.combinations(range(dim), 2)
+    ]
+    return dim - exact_rank(adjoint), exact_rank(derived)
+
+
+def _coordinates(vector: dict[int, int], dim: int) -> list[int]:
+    return [vector.get(m, 0) for m in range(dim)]
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n with parts at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _hook_length_degree(shape: tuple[int, ...]) -> int:
+    """The degree of the irreducible character of S_n on ``shape``, by the hook-length formula."""
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = prod(
+        (row - j) + (columns[j] - i) - 1 for i, row in enumerate(shape) for j in range(row)
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def cohen_taylor_dims(spec: str) -> tuple[int, int]:
+    """(dim of the center, dim of [L, L]) of the Plesken Lie algebra of a built-in group.
+
+    Cohen and Taylor (Amer. Math. Monthly 114, 2007) decompose it over C as
+    so(chi(1)) for each real chi of indicator +1, sp(chi(1)) for each of
+    indicator -1 and gl(chi(1)) for each pair chi != conj(chi):
+    - S<n>: every chi is real of indicator +1, with hook-length degrees f, so
+      the center counts the f == 2 (so(2) is abelian) and [L, L] is the sum of
+      f(f-1)/2 over f >= 3 (so(1) is zero);
+    - H<p>: gl(1)^((p^2-1)/2) + gl(p)^((p-1)/2), so the center is
+      (p^2+p-2)/2 and [L, L] is (p-1)(p^2-1)/2;
+    - C<n>, D<n> (order 2n) and K4 are abelian: the center is all of L, one
+      dimension per pair {g, g^-1} with g != g^-1, which is (n-1)//2 for C<n>
+      and D<n> (its rotations) and 0 for K4.
+    """
+    family, n = re.fullmatch(r"([CDHKS])(\d+)", spec.upper()).groups()
+    n = int(n)
+    if family == "S":
+        degrees = [_hook_length_degree(shape) for shape in _partitions(n, n)]
+        return degrees.count(2), sum(f * (f - 1) // 2 for f in degrees if f >= 3)
+    if family == "H":
+        return (n * n + n - 2) // 2, (n - 1) * (n * n - 1) // 2
+    return (0 if family == "K" else (n - 1) // 2), 0
 
 
 def composition_law_by_pairs(category) -> list[tuple[int, int, int, int, bool]]:

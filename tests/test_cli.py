@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import plesken_lab.functor as functor
 import plesken_lab.groups as groups
 from plesken_lab import (
     element_to_json, group_from_name, lie_bracket, parse_element, subgroup_category,
@@ -35,7 +36,10 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
+    assert report["command"] == {
+        "verb": "group", "args": {"spec": "K4"}, "format": "json", "convention": "literal"
+    }
     assert report["exit_code"] == 0
     payload = report["payload"]
     assert payload["order"] == 4
@@ -105,9 +109,7 @@ def test_functor_check_s3(capsys):
     assert payload["all_hold"] is True
     assert all(entry["ok"] for entry in payload["identity_law"])
     assert all(entry["ok"] for entry in payload["composition_law"])
-    assert payload["object_map"]["linear_ok"] is True
-    assert payload["object_map"]["in_span_ok"] is True
-    assert payload["object_map"]["convention"] == "literal"
+    assert payload["object_map"] == {"convention": "literal", "ok": True}
 
 
 def test_functor_check_respects_convention_flag(capsys):
@@ -115,8 +117,46 @@ def test_functor_check_respects_convention_flag(capsys):
         capsys, "functor", "check", "--ambient", "C3", "--convention", "pairwise"
     )
     assert code == 0
-    assert report["payload"]["object_map"]["convention"] == "pairwise"
+    assert report["payload"]["object_map"] == {"convention": "pairwise", "ok": True}
     assert report["command"]["convention"] == "pairwise"
+
+
+@pytest.mark.parametrize("convention", ["literal", "pairwise"])
+def test_functor_check_object_map_holds_on_every_catalog_ambient(capsys, catalog, convention):
+    for spec in catalog:
+        code, report = run_json(
+            capsys, "functor", "check", "--ambient", spec, "--convention", convention
+        )
+        assert code == 0, spec
+        assert report["payload"]["object_map"] == {"convention": convention, "ok": True}, spec
+
+
+@pytest.mark.parametrize("convention,factor", [("literal", 1), ("pairwise", 2), ("literal", -2)])
+def test_functor_check_exits_1_on_a_wrong_object_map_factor(
+    capsys, monkeypatch, convention, factor
+):
+    # the check writes its factor itself, so an object_map off by any factor fails it
+    right = functor.object_map
+    monkeypatch.setattr(functor, "object_map", lambda x, _: factor * right(x, "pairwise"))
+    code, report = run_json(
+        capsys, "functor", "check", "--ambient", "S3", "--convention", convention
+    )
+    assert code == 1 == report["exit_code"]
+    assert report["payload"]["object_map"] == {"convention": convention, "ok": False}
+    assert report["payload"]["all_hold"] is True
+    code, out = run_cli(
+        capsys, "functor", "check", "--ambient", "S3", "--convention", convention,
+        "--format", "text",
+    )
+    assert code == 1
+    assert f"object map ({convention}): failed" in out.splitlines()
+
+
+def test_seed_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["functor", "check", "--ambient", "S3", "--seed", "3"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_functor_counterexample_k4(capsys):
@@ -207,18 +247,37 @@ def test_output_is_deterministic(capsys):
 
 COUNTEREXAMPLE = "functor counterexample "
 
+# the `object_map` block of a schema 3 `check` report, and the sampled block it replaced
+OBJECT_MAP_CHECKED = '"object_map": {\n      "convention": "literal",\n      "ok": true\n    }'
+OBJECT_MAP_SAMPLED = (
+    '"object_map": {\n      "convention": "literal",\n      "in_span_ok": true,\n'
+    '      "linear_ok": true,\n      "samples": 20,\n      "seed": 0\n    }'
+)
+
 
 def _frozen_form(command: str, out: str) -> str:
-    """The bytes a frozen hash covers: schema 2 changed only the counterexample payload.
+    """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    A counterexample report is taken as printed; any other report gets back the
-    schema 1 digit, which it was frozen under, and must then be byte-identical.
+    Schema 3 dropped the `"seed": 0` echo line and made `check`'s object-map
+    block exact; schema 2 changed only the counterexample payload.  So every
+    report gets its echo line back, a `check` report its sampled block, a
+    counterexample report the schema 2 digit and any other report the schema 1
+    digit, which it was frozen under, and must then be byte-identical.
     """
-    tail = '\n  "schema_version": "2"\n}\n'
+    tail = '\n  "schema_version": "3"\n}\n'
     assert out.endswith(tail), command
-    if command.startswith(COUNTEREXAMPLE):
-        return out
-    return out[: -len(tail)] + '\n  "schema_version": "1"\n}\n'
+    digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
+    out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
+    echo = '\n    "format": "json",\n'
+    out = _replace_once(out, echo, echo + '    "seed": 0,\n')
+    if command.startswith("functor check "):
+        out = _replace_once(out, OBJECT_MAP_CHECKED, OBJECT_MAP_SAMPLED)
+    return out
+
+
+def _replace_once(text: str, old: str, new: str) -> str:
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
 
 
 def _sha256(text: str) -> str:
@@ -227,8 +286,9 @@ def _sha256(text: str) -> str:
 
 def test_workload_commands_print_the_frozen_bytes(capsys):
     # every benchmark command passes the benchmark's own check, which a run it fails
-    # reports as incorrect output, and prints its frozen bytes: the schema 1 sha256
-    # frozen by the benchmark, or the schema 2 one frozen below for a counterexample
+    # reports as incorrect output, and prints its frozen bytes once mapped back by
+    # _frozen_form: the schema 1 sha256 frozen by the benchmark, or the schema 2 one
+    # frozen below for a counterexample
     workloads = _load_perfbench("workloads")
     expected = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
@@ -496,6 +556,15 @@ def test_text_mode_homs(capsys):
     assert code == 0
     assert out.splitlines() == [
         "plesken-lab homs", "count: 3", "image: 0 0 0", "image: 0 1 2", "image: 0 2 1", "exit: 0"
+    ]
+
+
+def test_text_mode_functor_check_names_the_object_map_result(capsys):
+    code, out = run_cli(capsys, "functor", "check", "--ambient", "C3", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "plesken-lab functor", "ambient: C3", "objects: 2", "laws hold: True",
+        "object map (literal): ok", "exit: 0",
     ]
 
 

@@ -9,6 +9,7 @@ import plesken_lab.functor as functor
 from plesken_lab import (
     AlgebraElement,
     SubgroupCategory,
+    canonical_basis,
     check_full,
     check_functor_laws,
     compose_homs,
@@ -24,10 +25,13 @@ from plesken_lab import (
     random_element,
     random_scalar,
     reduce,
+    structure_constants,
     subgroup_category,
     trivial_hom,
 )
-from oracles import compose_hat_maps, composition_law_by_pairs, equal_lift_pairs
+from oracles import (
+    compose_hat_maps, composition_law_by_pairs, equal_lift_pairs, lie_map_violations,
+)
 
 
 def test_object_map_examples(catalog):
@@ -70,8 +74,8 @@ def test_object_map_is_linear_and_lands_in_span(catalog):
 
 def test_morphism_map_identity_and_trivial(catalog):
     S3 = catalog["S3"]
-    assert morphism_map(lift_hom_bar(identity_hom(S3))).is_identity_map()
-    assert morphism_map(lift_hom_bar(trivial_hom(S3, S3))).is_zero_map()
+    assert morphism_map(lift_hom_bar(identity_hom(S3))) == ((0, 1),)
+    assert morphism_map(lift_hom_bar(trivial_hom(S3, S3))) == (None,)
 
 
 def test_morphism_map_respects_composition_chains(catalog):
@@ -82,7 +86,43 @@ def test_morphism_map_respects_composition_chains(catalog):
             for f2 in enumerate_homs(H, K):
                 h2 = morphism_map(lift_hom_bar(f2))
                 composite = morphism_map(lift_hom_bar(compose_homs(f2, f1)))
-                assert composite.action == compose_hat_maps(h1.action, h2.action)
+                assert composite == compose_hat_maps(h1, h2)
+
+
+@pytest.mark.parametrize("spec,distinct", [("S4", 391), ("H3", 2696)])
+def test_every_distinct_lift_is_a_lie_map(catalog, spec, distinct):
+    category = subgroup_category(catalog[spec])
+    tables = [structure_constants(basis) for basis in category.bases]
+    maps = 0
+    for (a, b), lifts in category.lifts.items():
+        for action in set(lifts.values()):
+            assert lie_map_violations(action, tables[a], tables[b]) == [], (a, b, action)
+            maps += 1
+    assert maps == distinct
+
+
+def _flip_first_sign(action):
+    """``action`` with the sign of its first nonzero entry flipped."""
+    k = next(k for k, entry in enumerate(action) if entry is not None)
+    m, sign = action[k]
+    return (*action[:k], (m, -sign), *action[k + 1 :])
+
+
+def test_lie_map_check_catches_a_sign_flip(catalog):
+    S4, H3 = catalog["S4"], catalog["H3"]
+    table = structure_constants(canonical_basis(S4))
+    flipped = _flip_first_sign(lift_hom_hat(identity_hom(S4)))
+    assert len(lie_map_violations(flipped, table, table)) == 12
+    # between abelian algebras every linear map is a Lie map, so a flip there still passes
+    flipped = _flip_first_sign(lift_hom_hat(identity_hom(catalog["C6"])))
+    assert lie_map_violations(flipped, {}, {}) == []
+    # into an abelian target a Lie map must still kill [L, L], which a flip from H3 breaks
+    table = structure_constants(canonical_basis(H3))
+    onto = [lift_hom_hat(f) for f in enumerate_homs(H3, catalog["C3"]) if set(f.image) != {0}]
+    assert len(onto) == 8
+    for action in onto:
+        assert lie_map_violations(action, table, {}) == []
+        assert len(lie_map_violations(_flip_first_sign(action), table, {})) == 18
 
 
 def test_subgroup_category_invariants(catalog):
@@ -98,7 +138,7 @@ def test_subgroup_category_invariants(catalog):
     for (a, b), homset in C.homsets.items():
         assert list(C.lifts[(a, b)]) == [f.image for f in homset]
         for f in homset:
-            assert C.lifts[(a, b)][f.image] == lift_hom_hat(f).action
+            assert C.lifts[(a, b)][f.image] == lift_hom_hat(f)
     for a in range(n):
         for b in range(n):
             for c in range(n):
