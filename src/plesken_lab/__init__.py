@@ -19,8 +19,6 @@ _MODULE_NAMES = {
         "lie_bracket",
         "lift_hom_bar",
         "parse_element",
-        "random_element",
-        "random_scalar",
         "scale",
     ),
     "errors": (

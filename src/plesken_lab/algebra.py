@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import attrgetter, index
-from random import Random
 
 from .errors import GroupMismatch, IndexOutOfRange, ParseError
 from .groups import FiniteGroup, GroupHom, GroupSpec, _Frozen, _set, build_group
@@ -397,30 +396,3 @@ def element_from_json(payload: dict) -> AlgebraElement:
         c = Scalar(parse_fraction(term["re"]), parse_fraction(term.get("im", "0")))
         acc[g] = acc.get(g, ZERO) + c
     return AlgebraElement(group, acc)
-
-
-# ---------------------------------------------------------------------------
-# seeded random elements for property checks
-
-RANDOM_COEFFS = (
-    Scalar.of(-2),
-    Scalar.of(-1),
-    Scalar.of(Fraction(-1, 2)),
-    ZERO,
-    Scalar.of(Fraction(1, 2)),
-    ONE,
-    Scalar.of(2),
-    I,
-    -I,
-)
-
-
-def random_scalar(rng: Random) -> Scalar:
-    return rng.choice(RANDOM_COEFFS)
-
-
-def random_element(group: FiniteGroup, rng: Random, max_support: int = 5) -> AlgebraElement:
-    """Small random element with coefficients from a fixed exact set."""
-    k = rng.randint(0, min(max_support, group.order))
-    support = rng.sample(range(group.order), k)
-    return AlgebraElement(group, {g: random_scalar(rng) for g in support})

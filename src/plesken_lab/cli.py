@@ -21,7 +21,7 @@ from .groups import CONVENTIONS, GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -115,9 +115,7 @@ def _run_plesken(args) -> tuple[dict, int]:
         payload["basis"] = [G.labels[g] for g in basis.reps]
     if args.what == "sc":
         table = structure_constants(basis)
-        rows = [
-            (k, l, m, str(c), "0") for (k, l), row in sorted(table.items()) for m, c in row.items()
-        ]
+        rows = [(k, l, m, str(c), "0") for (k, l), row in table.items() for m, c in row.items()]
         payload["sc"] = _Rows(("k", "l", "m", "re", "im"), rows)
     return payload, EXIT_OK
 
@@ -278,46 +276,53 @@ class _Rows(list):
         self.fields = fields
 
 
-def _json_text(value, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, one join per list.
+def _json_text(value, newline: str = "\n") -> list[str]:
+    """The report layout of ``value``, as pieces to write in order.
 
-    A ``_Rows`` value is written as its list of dicts, each record through one
-    ``%`` template (``_records_text``); a dict is written item by item.
+    The pieces join to exactly ``json.dumps(value, indent=2, sort_keys=True)``,
+    except that each dict that is an item of a list is on one line, exactly
+    ``json.dumps(item, sort_keys=True)``; ``newline=""`` writes all of
+    ``value`` that way.  A ``_Rows`` value is written as its list of dicts,
+    each record through one ``%`` template (``_records_text``).  A list is
+    joined into one piece; a dict passes its values' pieces on uncopied.
 
-    ``json`` never uses its C encoder when ``indent`` is set, and its Python
-    encoder yields one small string per token.  Only ``dict`` with ``str``
-    keys, ``list``, ``_Rows``, ``str``, ``int``, ``bool`` and ``None`` are
-    written; any other type, ``float`` and ``tuple`` included, raises
-    ``TypeError`` (for a key, from ``encode_basestring_ascii``).
+    Only ``dict`` with ``str`` keys, ``list``, ``_Rows``, ``str``, ``int``,
+    ``bool`` and ``None`` are written; any other type, ``float`` and ``tuple``
+    included, raises ``TypeError`` (for a key, from ``encode_basestring_ascii``).
     """
     kind = type(value)
     if kind is str:
-        return _quote(value)
+        return [_quote(value)]
     if kind is int:
-        return int.__repr__(value)
+        return [int.__repr__(value)]
     if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    inner = newline + "  "
-    if kind is list or kind is _Rows:
-        if not value:
-            return "[]"
-        if kind is _Rows:
-            parts = _records_text(value, inner)
-        elif set(map(type, value)) == {int}:
-            parts = map(int.__repr__, value)
-        else:
-            parts = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if kind is not dict:
+        return ["null" if value is None else "true" if value else "false"]
+    if kind not in (dict, list, _Rows):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
     if not value:
-        return "{}"
-    items = [_quote(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
-    return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return ["{}" if kind is dict else "[]"]
+    inner = newline and newline + "  "
+    comma = "," + (inner or " ")
+    if kind is dict:
+        pieces = []
+        prefix = "{" + inner
+        for k in sorted(value):
+            pieces.append(prefix + _quote(k) + ": ")
+            pieces += _json_text(value[k], inner)
+            prefix = comma
+        pieces.append(newline + "}")
+        return pieces
+    if kind is _Rows:
+        items = _records_text(value)
+    elif set(map(type, value)) == {int}:
+        items = map(int.__repr__, value)
+    else:
+        items = ("".join(_json_text(v, "" if type(v) is dict else inner)) for v in value)
+    return ["[" + inner, comma.join(items), newline + "]"]
 
 
-def _records_text(rows: _Rows, newline: str) -> list[str]:
-    """``_json_text`` of each record of ``rows``, a tuple under ``rows.fields``.
+def _records_text(rows: _Rows) -> list[str]:
+    """Each record of ``rows``, a tuple under ``rows.fields``, as one line of JSON.
 
     Each record fills one ``%`` template, so the per-record work runs in C.
     Each field's values are streamed, never stored as a column, and written
@@ -330,7 +335,6 @@ def _records_text(rows: _Rows, newline: str) -> list[str]:
     getters = {k: itemgetter(p) for p, k in enumerate(rows.fields)}
     if not getters:
         return ["{}"] * len(rows)
-    inner = newline + "  "
     slots = []
     texts = []
     for k in sorted(getters):
@@ -347,19 +351,19 @@ def _records_text(rows: _Rows, newline: str) -> list[str]:
         ):
             # exact ints only: a tuple key would let [True] reuse the text of [1];
             # rows share a few value objects, so each distinct object is read once
-            int_list_text = cache(lambda items: _json_text(list(items), inner))
+            int_list_text = cache(lambda items: "[" + ", ".join(map(int.__repr__, items)) + "]")
             texts.append(map(int_list_text, map(tuple, map(get, rows))))
         else:
-            texts.append(map(_json_text, map(get, rows), repeat(inner)))
+            texts.append(map("".join, map(_json_text, map(get, rows), repeat(""))))
         slots.append(_quote(k).replace("%", "%%") + ": " + slot)
-    template = "{" + inner + ("," + inner).join(slots) + newline + "}"
+    template = "{" + ", ".join(slots) + "}"
     return list(map(template.__mod__, zip(*texts)))
 
 
 def _emit(report: dict, fmt: str) -> None:
-    text = _json_text(report) if fmt == "json" else _format_text(report)
-    sys.stdout.write(text)
-    sys.stdout.write("\n")
+    pieces = _json_text(report) if fmt == "json" else [_format_text(report)]
+    pieces.append("\n")
+    sys.stdout.writelines(pieces)
     sys.stdout.flush()
 
 

@@ -6,16 +6,19 @@ search, subgroup sets from full subset closure, matrix inverses from
 search over the whole matrix group, the functor's composition law from
 every composable pair, its equal lifts from the hat of every hom image,
 the group axioms from every triple of a table, Lie maps from every bracket
-of two basis hats, and the Cohen-Taylor dimensions from character degrees
-in closed form.
+of two basis hats, the Cohen-Taylor dimensions from character degrees
+in closed form, and the report layout from ``json.dumps``.  The seeded
+random elements at the end are drawn for the library's property checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
 from math import factorial, prod
+from random import Random
 from types import SimpleNamespace
 
 
@@ -284,3 +287,46 @@ def equal_lift_pairs(ambient) -> list[tuple[int, int, tuple[int, ...], tuple[int
             if hats_a == hats_b:
                 out.append((i, j, image_a, image_b))
     return sorted(out)
+
+
+def report_layout(value, indent: str = "") -> str:
+    """The schema 4 layout of a JSON value, from ``json.dumps`` alone.
+
+    ``json.dumps(value, indent=2, sort_keys=True)``, except that each dict
+    that is an item of a list is written on one line, as
+    ``json.dumps(item, sort_keys=True)``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {report_layout(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [
+            json.dumps(v, sort_keys=True) if isinstance(v, dict) else report_layout(v, inner)
+            for v in value
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
+# (re, im) of the coefficients a random element draws from
+RANDOM_COEFFS = (
+    (-2, 0), (-1, 0), (Fraction(-1, 2), 0), (0, 0), (Fraction(1, 2), 0), (1, 0), (2, 0),
+    (0, 1), (0, -1),
+)
+
+
+def random_scalar(rng: Random):
+    """A ``Scalar`` drawn from ``RANDOM_COEFFS``."""
+    from plesken_lab import Scalar  # the oracles above never import the library
+
+    return Scalar.of(*rng.choice(RANDOM_COEFFS))
+
+
+def random_element(group, rng: Random, max_support: int = 5):
+    """Small random ``AlgebraElement`` with coefficients from ``RANDOM_COEFFS``."""
+    from plesken_lab import AlgebraElement
+
+    k = rng.randint(0, min(max_support, group.order))
+    support = rng.sample(range(group.order), k)
+    return AlgebraElement(group, {g: random_scalar(rng) for g in support})

@@ -29,13 +29,13 @@ from plesken_lab import (
     lift_hom_bar,
     lift_hom_hat,
     parse_element,
-    random_element,
-    random_scalar,
     structure_constants,
     subgroup_category,
 )
 from conftest import CATALOG_SPECS, CHILD_ENV, SMALL_CATALOG_SPECS
-from oracles import exact_rank, lie_map_violations, unitriangular_inverse_by_search
+from oracles import (
+    exact_rank, lie_map_violations, random_element, random_scalar, unitriangular_inverse_by_search,
+)
 
 
 def _run(num: int, description: str, budget_s: float, fn) -> None:
@@ -153,8 +153,23 @@ def test_criterion_6_lifts_preserve_brackets(catalog):
                     assert lie_map_violations(lift_hom_hat(f), tables[G], tables[H]) == [], f
                     maps += 1
         assert maps == 217
+        # every small-catalog algebra is abelian, where no sign error in a hat map
+        # breaks a bracket; the nonabelian S4 and H3 catch one
+        for spec, count in (("S4", 58), ("H3", 729)):
+            G = catalog[spec]
+            table = structure_constants(canonical_basis(G))
+            homs = enumerate_homs(G, G)
+            assert len(homs) == count
+            for f in homs:
+                assert lie_map_violations(lift_hom_hat(f), table, table) == [], f
 
-    _run(6, "bar and hat lifts preserve brackets for every small-catalog hom", 60.0, check)
+    _run(
+        6,
+        "bar and hat lifts preserve brackets for every small-catalog hom, "
+        "hat lifts for every S4 -> S4 and H3 -> H3 hom",
+        60.0,
+        check,
+    )
 
 
 def test_criterion_7_functor_laws_and_fullness(catalog):

@@ -22,12 +22,11 @@ from plesken_lab import (
     lie_bracket,
     lift_hom_bar,
     parse_element,
-    random_element,
-    random_scalar,
     scale,
     trivial_hom,
 )
 from plesken_lab.algebra import I, ONE, ZERO, Scalar
+from oracles import random_element, random_scalar
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)

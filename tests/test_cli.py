@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from plesken_lab import (
 )
 from plesken_lab.cli import _json_text, _Rows, main
 from conftest import CHILD_ENV
+from oracles import report_layout
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 
@@ -36,7 +39,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert report["command"] == {
         "verb": "group", "args": {"spec": "K4"}, "format": "json", "convention": "literal"
     }
@@ -247,7 +250,8 @@ def test_output_is_deterministic(capsys):
 
 COUNTEREXAMPLE = "functor counterexample "
 
-# the `object_map` block of a schema 3 `check` report, and the sampled block it replaced
+# the `object_map` block of a schema 3 `check` report in the indent=2 layout, and the
+# sampled block it replaced
 OBJECT_MAP_CHECKED = '"object_map": {\n      "convention": "literal",\n      "ok": true\n    }'
 OBJECT_MAP_SAMPLED = (
     '"object_map": {\n      "convention": "literal",\n      "in_span_ok": true,\n'
@@ -258,13 +262,18 @@ OBJECT_MAP_SAMPLED = (
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 3 dropped the `"seed": 0` echo line and made `check`'s object-map
-    block exact; schema 2 changed only the counterexample payload.  So every
-    report gets its echo line back, a `check` report its sampled block, a
-    counterexample report the schema 2 digit and any other report the schema 1
-    digit, which it was frozen under, and must then be byte-identical.
+    Schema 4 wrote each dict item of a list on one line, schema 3 dropped the
+    `"seed": 0` echo line and made `check`'s object-map block exact, and
+    schema 2 changed only the counterexample payload.  So every report is
+    re-rendered with `indent=2` and gets its echo line back, a `check` report
+    its sampled block, a counterexample report the schema 2 digit and any
+    other report the schema 1 digit, which it was frozen under, and must then
+    be byte-identical.
     """
-    tail = '\n  "schema_version": "3"\n}\n'
+    report = json.loads(out)
+    assert report_layout(report) + "\n" == out, command
+    out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    tail = '\n  "schema_version": "4"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -284,7 +293,21 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_workload_commands_print_the_frozen_bytes(capsys):
+@pytest.fixture(scope="module")
+def workload_outputs():
+    """{workload: {command key: (exit code, stdout)}} for every benchmark command."""
+    workloads = _load_perfbench("workloads")
+    outputs = {}
+    for name, workload in workloads.WORKLOADS.items():
+        outputs[name] = {}
+        for args in workload.commands:
+            with redirect_stdout(io.StringIO()) as buf:
+                code = main(list(args))
+            outputs[name][workloads.command_key(args)] = code, buf.getvalue()
+    return outputs
+
+
+def test_workload_commands_print_the_frozen_bytes(workload_outputs):
     # every benchmark command passes the benchmark's own check, which a run it fails
     # reports as incorrect output, and prints its frozen bytes once mapped back by
     # _frozen_form: the schema 1 sha256 frozen by the benchmark, or the schema 2 one
@@ -294,16 +317,28 @@ def test_workload_commands_print_the_frozen_bytes(capsys):
         (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
     )["commands"]
     assert len(expected) == 25
-    assert set(expected) == {
-        workloads.command_key(args) for w in workloads.WORKLOADS.values() for args in w.commands
-    }
+    outputs = {key: run for runs in workload_outputs.values() for key, run in runs.items()}
+    assert set(expected) == set(outputs)
     for key, frozen in expected.items():
-        code, out = run_cli(capsys, *key.split(" "))
+        code, out = outputs[key]
         assert code == frozen["exit_code"], key
         assert workloads.check_output(frozen, code, out.encode()) is None, key
         if key.startswith(COUNTEREXAMPLE):
             frozen = {"stdout_sha256": FROZEN_FUNCTOR_STDOUT[key]}
         assert _sha256(_frozen_form(key, out)) == frozen["stdout_sha256"], key
+
+
+# the stdout bytes of each workload's commands, summed: a layout that writes more fails here
+# before the benchmark's output_mb reads it
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 150_533, "lie_sc": 3_432_975, "functor_laws": 580_419}
+
+
+def test_workload_report_sizes_are_frozen(workload_outputs):
+    sizes = {
+        name: sum(len(out.encode()) for _, out in runs.values())
+        for name, runs in workload_outputs.items()
+    }
+    assert sizes == WORKLOAD_STDOUT_BYTES
 
 
 # stdout sha256 of functor commands: `check` frozen under schema 1 before homsets shared
@@ -410,8 +445,11 @@ def test_json_round_trips_through_schema(capsys):
         ("plesken", "H5", "sc"),
     ):
         _, out = run_cli(capsys, *argv)
-        parsed = json.loads(out)
-        assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out, argv
+        assert report_layout(json.loads(out)) + "\n" == out, argv
+
+
+def _written(value) -> str:
+    return "".join(_json_text(value))
 
 
 _odd_strings = st.sampled_from(
@@ -424,7 +462,7 @@ def _records(children):
     """Lists of dicts with one shared key set, which the writer takes as plain lists.
 
     Record lists in payloads are ``_Rows``; a list of dicts must still come out
-    exactly as ``json.dumps`` writes it.
+    exactly as ``report_layout`` writes it.
     """
     column = children | st.integers(0, 2) | st.booleans() | st.lists(st.integers(0, 3))
     return st.lists(_keys, max_size=4, unique=True).flatmap(
@@ -459,7 +497,7 @@ _json_values = st.recursive(
 @example([{"k": [1]}, {"k": [True]}])
 @example([{"k": [[1]], "l": {"m": [2]}}, {"k": [[1]], "l": {"m": [2]}}])
 def test_json_text_matches_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert _written(value) == report_layout(value)
 
 
 # one column each: the writer takes its fast path when a column has one kind of value
@@ -494,7 +532,7 @@ def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
     rows, dicts = rows_and_dicts
     assert len(rows) == len(dicts)
     for wrap in (lambda v: v, lambda v: {"payload": v, "count": 1}, lambda v: [v, [v]]):
-        assert _json_text(wrap(rows)) == json.dumps(wrap(dicts), indent=2, sort_keys=True)
+        assert _written(wrap(rows)) == report_layout(wrap(dicts))
 
 
 @pytest.mark.parametrize("value", [
@@ -521,10 +559,19 @@ def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
     _Rows(("k", "l"), [(0, {"a": [0.5]})]),
     _Rows(("k",), [({"a": (1,)},)]),
     {"payload": _Rows(("k",), [([1.0],)])},
+    # a dict item of a list, written on one line
+    [[{"k": 0.5}]],
+    {"terms": [{"re": (1,)}]},
+    [{"k": {"a": 1.5}}],
+    [{"k": [1, (2,)]}],
+    [{"k": {1, 2}}],
+    [{"k": {1: "a"}}],
+    _Rows(("k",), [({"a": [1, 2.5]},)]),
+    _Rows(("k",), [([{"a": (1,)}],)]),
 ])
 def test_json_text_refuses_types_outside_the_schema(value):
     with pytest.raises(TypeError):
-        _json_text(value)
+        _written(value)
 
 
 @pytest.mark.parametrize("bad", [[True], (1, 2.0), [[1.5]], (True,)])
@@ -532,13 +579,13 @@ def test_int_list_column_checks_each_shared_value(bad):
     # the exact-int check reads each distinct value object once, however often rows share it
     good = (0, 1)
     with pytest.raises(TypeError):
-        _json_text(_Rows(("k",), [(good,), (bad,), (bad,), (good,)]))
+        _written(_Rows(("k",), [(good,), (bad,), (bad,), (good,)]))
 
 
 def test_int_list_column_writes_shared_bools_as_bools():
     bools = [True]
     records = [{"k": [0, 1]}, {"k": bools}, {"k": bools}]
-    assert _json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+    assert _written(records) == report_layout(records)
 
 
 def test_text_mode(capsys):

@@ -22,8 +22,6 @@ from plesken_lab import (
     morphism_map,
     object_map,
     parse_element,
-    random_element,
-    random_scalar,
     reduce,
     structure_constants,
     subgroup_category,
@@ -31,6 +29,7 @@ from plesken_lab import (
 )
 from oracles import (
     compose_hat_maps, composition_law_by_pairs, equal_lift_pairs, lie_map_violations,
+    random_element, random_scalar,
 )
 
 

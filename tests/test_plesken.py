@@ -309,17 +309,26 @@ def test_hat_lift_identity_trivial_and_zero_target(catalog):
         assert lift_hom_hat(f) == (None,)
 
 
-def test_hat_lift_preserves_brackets(small_catalog):
-    # every bracket of two basis hats, for every hom of the small catalog
-    groups = list(small_catalog.values())
-    tables = {G: structure_constants(canonical_basis(G)) for G in groups}
+def test_hat_lift_preserves_brackets(catalog, small_catalog):
+    # every bracket of two basis hats, for every hom of the small catalog and every
+    # S4 -> S4 and H3 -> H3 hom: only these two nonabelian algebras can catch a sign error
+    small = list(small_catalog.values())
+    pairs = [(G, H) for G in small for H in small] + [(catalog[s],) * 2 for s in ("S4", "H3")]
+    tables = {G: structure_constants(canonical_basis(G)) for G in catalog.values()}
     maps = 0
-    for G in groups:
-        for H in groups:
-            for f in enumerate_homs(G, H):
-                assert lie_map_violations(lift_hom_hat(f), tables[G], tables[H]) == [], f
-                maps += 1
-    assert maps == 217
+    for G, H in pairs:
+        for f in enumerate_homs(G, H):
+            assert lie_map_violations(lift_hom_hat(f), tables[G], tables[H]) == [], f
+            maps += 1
+    assert maps == 217 + 58 + 729
+
+
+@pytest.mark.parametrize("spec", ["S4", "H3", "H5"])
+def test_structure_constants_are_stored_in_ascending_order(spec):
+    # `plesken sc` writes its rows in the table's own order: (k, l) ascending, then m
+    table = structure_constants(canonical_basis(group_from_name(spec)))
+    assert list(table) == sorted(table)
+    assert all(list(row) == sorted(row) for row in table.values())
 
 
 def test_hat_lift_action_matches_pushed_hats(small_catalog):
