@@ -11,17 +11,16 @@ import argparse
 import os
 import sys
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder exports
-from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
-from .errors import InvalidSpec, ParseError, PleskenLabError, SearchTooLarge
-from .groups import CONVENTIONS, GroupSpec, build_group, enumerate_homs
+from .errors import InvalidSpec, ParseError, SearchTooLarge
+from .groups import GroupSpec, build_group, enumerate_homs
 
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -34,12 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    shared.add_argument(
-        "--convention",
-        choices=CONVENTIONS,
-        default="literal",
-        help="object-map convention",
     )
 
     parser = argparse.ArgumentParser(
@@ -72,12 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"verb", "format", "convention"}
     return {
         "verb": args.verb,
-        "args": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
+        "args": {k: v for k, v in sorted(vars(args).items()) if k not in ("verb", "format")},
         "format": args.format,
-        "convention": args.convention,
     }
 
 
@@ -128,33 +119,28 @@ def _run_homs(args) -> tuple[dict, int]:
         "domain": str(dom_spec),
         "codomain": str(cod_spec),
         "count": len(homs),
-        "homs": _Rows(("image",), ((f.image,) for f in homs)),
+        "homs": _Rows(("image",), ((list(f.image),) for f in homs)),
     }
     return payload, EXIT_OK
 
 
-def _object_map_check(G, convention: str) -> dict:
-    """Whether ``object_map`` sends every element g of G to k times its basis hat.
+def _object_map_check(G) -> dict[str, bool]:
+    """Per convention, whether ``object_map`` sends each element g of G to k(g - g^-1).
 
-    The hat of g is +-e_pos(g), zero for an involution; k is 2 for ``literal``
-    and 1 for ``pairwise``.  ``object_map`` is linear, so these |G| values decide it.
+    k is 2 for ``literal`` and 1 for ``pairwise``; both sides are compared in
+    the group algebra.  ``object_map`` is linear, so these |G| values decide it.
     """
     from .algebra import AlgebraElement
-    from .functor import object_map
-    from .plesken import PleskenElement, canonical_basis, reduce
+    from .functor import CONVENTIONS, object_map
+    from .plesken import hat
 
-    k = 2 if convention == "literal" else 1
-    basis = canonical_basis(G)
-
-    def holds(g: int) -> bool:
-        pos = basis.position(g)
-        expected = PleskenElement(basis, {} if pos is None else {pos[0]: k * pos[1]})
-        try:
-            return reduce(object_map(AlgebraElement.basis(G, g), convention), basis) == expected
-        except PleskenLabError:
-            return False
-
-    return {"convention": convention, "ok": all(map(holds, range(G.order)))}
+    k = {"literal": 2, "pairwise": 1}
+    return {
+        c: all(
+            object_map(AlgebraElement.basis(G, g), c) == k[c] * hat(G, g) for g in range(G.order)
+        )
+        for c in CONVENTIONS
+    }
 
 
 def _run_functor(args) -> tuple[dict, int]:
@@ -178,12 +164,11 @@ def _run_functor(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)
-        object_check = _object_map_check(ambient, args.convention)
         payload["identity_law"] = _Rows(("object", "ok"), report.identity)
         payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
-        payload["object_map"] = object_check
+        payload["object_map"] = object_check = _object_map_check(ambient)
         payload["all_hold"] = report.all_hold
-        if not (report.all_hold and object_check["ok"]):
+        if not (report.all_hold and all(object_check.values())):
             code = EXIT_LAW_VIOLATION
     elif args.action == "full":
         report = check_full(category)
@@ -253,9 +238,8 @@ def _text_payload(verb: str, payload: dict) -> list[str]:
     lines = [f"ambient: {payload['ambient']}", f"objects: {len(payload['objects'])}"]
     if "all_hold" in payload:
         lines.append(f"laws hold: {payload['all_hold']}")
-        object_check = payload["object_map"]
-        verdict = "ok" if object_check["ok"] else "failed"
-        lines.append(f"object map ({object_check['convention']}): {verdict}")
+        for c, ok in payload["object_map"].items():
+            lines.append(f"object map ({c}): {'ok' if ok else 'failed'}")
     if "all_full" in payload:
         lines.append(f"full: {payload['all_full']}")
     if "count" in payload:
@@ -267,8 +251,7 @@ class _Rows(list):
     """Records given as tuples of values under one tuple of field names.
 
     Every record list in a payload is one.  ``_json_text`` writes it exactly
-    as the list of ``dict(zip(fields, row))``, without building those dicts;
-    only here may a column of int lists hold tuples of ints.
+    as the list of ``dict(zip(fields, row))``, without building those dicts.
     """
 
     def __init__(self, fields: tuple[str, ...], rows) -> None:
@@ -327,10 +310,9 @@ def _records_text(rows: _Rows) -> list[str]:
     Each record fills one ``%`` template, so the per-record work runs in C.
     Each field's values are streamed, never stored as a column, and written
     by their exact types: an int column through ``%d``, a str column through
-    ``encode_basestring_ascii``, a column of int lists or tuples through a
-    memo that writes each distinct one once, and any other column (bools,
-    mixed types, nesting) through ``_json_text``, which refuses every type
-    outside the schema.
+    ``encode_basestring_ascii``, and any other column (bools, lists, mixed
+    types, nesting) through ``_json_text``, which refuses every type outside
+    the schema.
     """
     getters = {k: itemgetter(p) for p, k in enumerate(rows.fields)}
     if not getters:
@@ -346,13 +328,6 @@ def _records_text(rows: _Rows) -> list[str]:
             texts.append(map(get, rows))
         elif types == {str}:
             texts.append(map(_quote, map(get, rows)))
-        elif types <= {list, tuple} and {int}.issuperset(
-            map(type, chain.from_iterable({id(v): v for v in map(get, rows)}.values()))
-        ):
-            # exact ints only: a tuple key would let [True] reuse the text of [1];
-            # rows share a few value objects, so each distinct object is read once
-            int_list_text = cache(lambda items: "[" + ", ".join(map(int.__repr__, items)) + "]")
-            texts.append(map(int_list_text, map(tuple, map(get, rows))))
         else:
             texts.append(map("".join, map(_json_text, map(get, rows), repeat(""))))
         slots.append(_quote(k).replace("%", "%%") + ": " + slot)

@@ -14,8 +14,9 @@ from itertools import product
 
 from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
-from .groups import CONVENTIONS
 from .plesken import HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
+
+CONVENTIONS = ("literal", "pairwise")  # of object_map
 
 
 def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement:

@@ -25,8 +25,6 @@ from .errors import (
 SUBGROUP_ORDER_LIMIT = 64
 HOM_SEARCH_LIMIT = 10**7
 GROUP_ORDER_LIMIT = 2048  # a table holds order**2 entries
-# conventions of functor.object_map; kept here so the CLI can list them without functor
-CONVENTIONS = ("literal", "pairwise")
 
 _SPEC_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral", "H": "heisenberg"}
 _KIND_LETTERS = {v: k for k, v in _SPEC_KINDS.items()}
@@ -262,21 +260,24 @@ class FiniteGroup:
         self.embedding = None if embedding is None else _read_embedding(self, embedding, ambient)
 
     def mul(self, x: int, y: int) -> int:
-        self._check_index(x)
-        self._check_index(y)
-        return self.cayley[x][y]
+        return self.cayley[self._check_index(x)][self._check_index(y)]
 
     def inverse(self, x: int) -> int:
-        self._check_index(x)
-        return self.inv[x]
+        return self.inv[self._check_index(x)]
 
     def involution_count(self) -> int:
         """Number of x with x*x = identity (identity itself included)."""
         return sum(1 for x in range(self.order) if self.cayley[x][x] == self.identity)
 
-    def _check_index(self, x: int) -> None:
+    def _check_index(self, x: int) -> int:
+        """``x`` read as an element index: an integer in range(order)."""
+        try:
+            x = index(x)
+        except TypeError:
+            raise IndexOutOfRange(f"element index {x!r} is not an integer") from None
         if not 0 <= x < self.order:
             raise IndexOutOfRange(f"element index {x} outside group of order {self.order}")
+        return x
 
     def __len__(self) -> int:
         return self.order

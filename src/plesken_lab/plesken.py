@@ -9,7 +9,7 @@ vectors use the sparse-vector arithmetic of ``algebra._Vector``.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .algebra import AlgebraElement, ONE, Scalar, ZERO, _Vector, lie_bracket
 from .errors import BasisMismatch, InvalidPrime, NotInSpan
@@ -18,7 +18,7 @@ from .groups import FiniteGroup, GroupHom, _Frozen, _is_odd_prime, _set
 
 def hat(G: FiniteGroup, g: int) -> AlgebraElement:
     """The antisymmetrized element g - g^{-1}; zero for involutions and identity."""
-    G._check_index(g)
+    g = G._check_index(g)
     gi = G.inv[g]
     coeffs = {g: ONE}
     coeffs[gi] = coeffs.get(gi, ZERO) - ONE
@@ -196,8 +196,10 @@ def heisenberg_hat_closed_form(p: int, a: int, b: int, c: int) -> list[list[int]
 
     A^{-1} = [[1, -a, ac-b], [0, 1, -c], [0, 0, 1]], so the difference is
     [[0, 2a, 2b-ac], [0, 0, 2c], [0, 0, 0]] mod p.  The tests check this
-    closed form against inverses found by exhaustive search.
+    closed form against inverses found by exhaustive search.  Every argument
+    is read with ``operator.index``, so the entries are exact integers.
     """
+    p, a, b, c = index(p), index(a), index(b), index(c)
     if not _is_odd_prime(p):
         raise InvalidPrime(f"p must be an odd prime, got {p}")
     return [[0, (2 * a) % p, (2 * b - a * c) % p], [0, 0, (2 * c) % p], [0, 0, 0]]

@@ -5,6 +5,7 @@ from plain Fraction elimination, homomorphism sets from exhaustive map
 search, subgroup sets from full subset closure, matrix inverses from
 search over the whole matrix group, the functor's composition law from
 every composable pair, its equal lifts from the hat of every hom image,
+the subgroups and homset sizes of the Heisenberg group in closed form in p,
 the group axioms from every triple of a table, Lie maps from every bracket
 of two basis hats, the Cohen-Taylor dimensions from character degrees
 in closed form, and the report layout from ``json.dumps``.  The seeded
@@ -226,6 +227,37 @@ def cohen_taylor_dims(spec: str) -> tuple[int, int]:
     if family == "H":
         return (n * n + n - 2) // 2, (n - 1) * (n * n - 1) // 2
     return (0 if family == "K" else (n - 1) // 2), 0
+
+
+def heisenberg_subgroup_counts(p: int) -> dict[int, int]:
+    """{order: number of subgroups of that order} of the Heisenberg group H<p>, p an odd prime.
+
+    H<p> has exponent p and centre Z of order p.  Each subgroup of order p is
+    one of the p^2+p+1 lines of the 3-dimensional space of elements over F_p,
+    and each of order p^2 is Z times one of the p+1 lines of H<p>/Z = F_p^2.
+    """
+    return {1: 1, p: p * p + p + 1, p**2: p + 1, p**3: 1}
+
+
+def heisenberg_homset_size(p: int, m: int, n: int) -> int:
+    """|Hom(A, B)| for subgroups A, B of H<p> of orders m and n, p an odd prime.
+
+    The subgroups of order p, p^2 and p^3 are C_p, C_p x C_p and H<p> itself,
+    all of exponent p.  A hom from C_p or C_p^2 picks the images of its one or
+    two free generators: any element, or any commuting pair, of which H<p>
+    has p^3 (p^2 + p - 1), |H<p>| times its number of conjugacy classes.  A
+    hom from H<p> to an abelian group factors through H<p>/Z = C_p^2, and
+    H<p> is free of rank 2 among the groups of exponent p and class 2, so it
+    has p^6 endomorphisms.  The trivial group has one hom to and from each.
+    """
+    if m == 1 or n == 1:
+        return 1
+    c, c2, h = p, p**2, p**3
+    return {
+        (c, c): p, (c, c2): p**2, (c, h): p**3,
+        (c2, c): p**2, (c2, c2): p**4, (c2, h): p**3 * (p * p + p - 1),
+        (h, c): p**2, (h, c2): p**4, (h, h): p**6,
+    }[m, n]
 
 
 def composition_law_by_pairs(category) -> list[tuple[int, int, int, int, bool]]:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -28,8 +28,8 @@ from plesken_lab import (
     trivial_hom,
 )
 from oracles import (
-    compose_hat_maps, composition_law_by_pairs, equal_lift_pairs, lie_map_violations,
-    random_element, random_scalar,
+    compose_hat_maps, composition_law_by_pairs, equal_lift_pairs, heisenberg_homset_size,
+    heisenberg_subgroup_counts, lie_map_violations, random_element, random_scalar,
 )
 
 
@@ -309,6 +309,23 @@ def test_odd_order_ambients_are_faithful(spec):
     G = group_from_name(spec)
     assert G.involution_count() == 1
     assert find_faithfulness_counterexample(subgroup_category(G)) == []
+
+
+def test_heisenberg_category_matches_the_closed_forms(catalog):
+    # the paper's example: subgroups of H<p> per order, and every homset size by the
+    # orders of its two objects, from closed forms in p
+    C = subgroup_category(catalog["H3"])
+    orders = [obj.order for obj in C.objects]
+    assert {n: orders.count(n) for n in set(orders)} == heisenberg_subgroup_counts(3)
+    assert len(orders) == 19
+    sizes = {
+        (i, j): len(C.homsets[C.table[i], C.table[j]])
+        for i, j in product(range(len(orders)), repeat=2)
+    }
+    assert sizes == {
+        (i, j): heisenberg_homset_size(3, orders[i], orders[j])
+        for i, j in product(range(len(orders)), repeat=2)
+    }
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])

@@ -219,6 +219,14 @@ def test_mul_and_inverse_bounds(catalog):
         C3.mul(0, 3)
     with pytest.raises(IndexOutOfRange, match="^element index -1 outside group of order 3$"):
         C3.inverse(-1)
+    # the wording AlgebraElement uses for the same index, not a TypeError from tuple indexing
+    for call, key in (
+        (lambda: C3.mul(1.5, 0), 1.5),
+        (lambda: C3.mul(0, "1"), "1"),
+        (lambda: C3.inverse(1.5), 1.5),
+    ):
+        with pytest.raises(IndexOutOfRange, match=f"^element index {key!r} is not an integer$"):
+            call()
 
 
 def test_validate_hom(catalog):

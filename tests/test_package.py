@@ -10,8 +10,7 @@ import sys
 import pytest
 
 import plesken_lab
-import plesken_lab.functor as functor
-from plesken_lab.cli import _build_parser
+from plesken_lab.cli import _build_parser, main
 from conftest import CHILD_ENV
 
 PUBLIC_NAMES = {
@@ -91,11 +90,32 @@ def test_unknown_name_raises_attribute_error():
         exec("from plesken_lab import no_such_name", {})
 
 
-def test_convention_choices_are_the_functor_conventions():
+# every option string of each verb: a new flag must change this map on purpose
+VERB_OPTIONS = {
+    "group": {"-h", "--help", "--format"},
+    "bracket": {"-h", "--help", "--format"},
+    "plesken": {"-h", "--help", "--format"},
+    "homs": {"-h", "--help", "--format"},
+    "functor": {"-h", "--help", "--format", "--ambient"},
+}
+
+
+def test_cli_options_are_pinned(capsys):
     parser = _build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for verb in verbs.choices.values():
-        assert verb._option_string_actions["--convention"].choices is functor.CONVENTIONS
+    assert {name: set(p._option_string_actions) for name, p in verbs.choices.items()} == (
+        VERB_OPTIONS
+    )
+    for argv in (
+        ("group", "C2"), ("bracket", "C2", "e", "a"), ("plesken", "C2", "dim"),
+        ("homs", "C2", "C2"), ("functor", "check", "--ambient", "C2"),
+    ):
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--convention", "literal"])
+        assert raised.value.code == 2, argv
+        assert "unrecognized arguments: --convention literal" in capsys.readouterr().err
 
 
 def test_import_loads_no_submodule():

@@ -47,6 +47,8 @@ def test_hat_examples(catalog):
     assert hat(C3, 1) == parse_element(C3, "a - a^2")
     with pytest.raises(IndexOutOfRange, match="^element index 3 outside group of order 3$"):
         hat(C3, 3)
+    with pytest.raises(IndexOutOfRange, match="^element index 1.5 is not an integer$"):
+        hat(C3, 1.5)
 
 
 def test_canonical_basis_shapes(catalog):
@@ -389,6 +391,14 @@ def test_closed_form_against_search_oracle():
                         [0, 0, 0],
                     ]
                     assert heisenberg_hat_closed_form(p, a, b, c) == expected
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", None])
+def test_closed_form_refuses_non_integer_entries(entry):
+    # the closed form promises exact integers: a float p or entry would give float entries
+    for args in ((entry, 0, 0, 0), (3, entry, 0, 0), (3, 0, entry, 0), (3, 0, 0, entry)):
+        with pytest.raises(TypeError):
+            heisenberg_hat_closed_form(*args)
 
 
 @pytest.mark.parametrize("p", [2, 4, 9, 1])
