@@ -114,6 +114,19 @@ def test_functor_check_s3(capsys):
     assert payload["object_map"] == dict.fromkeys(functor.CONVENTIONS, True)
 
 
+def test_functor_check_respects_convention_flag(capsys):
+    # --convention is no longer an option: it is a usage error, and the check gives
+    # one verdict for each convention instead of the one the flag chose
+    with pytest.raises(SystemExit) as raised:
+        main(["functor", "check", "--ambient", "C3", "--convention", "pairwise"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --convention pairwise" in capsys.readouterr().err
+    code, report = run_json(capsys, "functor", "check", "--ambient", "C3")
+    assert code == 0
+    assert report["payload"]["object_map"] == {"literal": True, "pairwise": True}
+    assert "convention" not in report["command"]
+
+
 @pytest.mark.parametrize("convention", ["literal", "pairwise"])
 def test_functor_check_object_map_holds_on_every_catalog_ambient(capsys, catalog, convention):
     for spec in catalog:

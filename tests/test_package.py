@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import subprocess
 import sys
 
 import pytest
 
 import plesken_lab
+import plesken_lab.functor as functor
 from plesken_lab.cli import _build_parser, main
 from conftest import CHILD_ENV
 
@@ -116,6 +118,16 @@ def test_cli_options_are_pinned(capsys):
             main([*argv, "--convention", "literal"])
         assert raised.value.code == 2, argv
         assert "unrecognized arguments: --convention literal" in capsys.readouterr().err
+
+
+def test_convention_choices_are_the_functor_conventions(capsys):
+    # the check's verdicts are keyed by exactly functor.CONVENTIONS, in text mode in that order
+    assert main(["functor", "check", "--ambient", "C2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert tuple(report["payload"]["object_map"]) == functor.CONVENTIONS
+    assert main(["functor", "check", "--ambient", "C2", "--format", "text"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("object map (")]
+    assert lines == [f"object map ({c}): ok" for c in functor.CONVENTIONS]
 
 
 def test_import_loads_no_submodule():
