@@ -22,14 +22,12 @@ _MODULE_NAMES = {
         "scale",
     ),
     "errors": (
-        "BasisMismatch",
         "DomainMismatch",
         "GroupMismatch",
         "IndexOutOfRange",
         "InvalidHom",
         "InvalidPrime",
         "InvalidSpec",
-        "NotInSpan",
         "ParseError",
         "PleskenLabError",
         "SearchTooLarge",
@@ -61,15 +59,10 @@ _MODULE_NAMES = {
     ),
     "plesken": (
         "PleskenBasis",
-        "PleskenElement",
-        "bracket_expansion_check",
         "canonical_basis",
-        "embed",
         "hat",
         "heisenberg_hat_closed_form",
         "lift_hom_hat",
-        "plesken_bracket",
-        "reduce",
         "structure_constants",
     ),
 }

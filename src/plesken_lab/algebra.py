@@ -2,8 +2,7 @@
 
 Scalars are pairs of arbitrary-precision rationals (a + b*i), so every
 algebraic identity downstream is checked with exact equality rather than
-floating-point tolerances.  Group-algebra elements and the hat coordinates
-of ``plesken`` share one sparse-vector class, ``_Vector``.
+floating-point tolerances.
 """
 
 from __future__ import annotations
@@ -114,101 +113,38 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"cannot parse rational {text!r}") from exc
 
 
-class _Vector:
-    """Finitely supported map from the indices of a space to nonzero Scalars.
+class AlgebraElement:
+    """Sparse element of a group algebra: ``coeffs`` maps group indices to Scalars.
 
-    The shared arithmetic of ``AlgebraElement`` and ``PleskenElement``.  Each
-    subclass names its space and map (aliases of the two slots below), how to
-    read the size of the space, the wording of its index errors and the error
-    raised when two operands live in different spaces.  Stored coefficients
-    are never zero, so equality of vectors is equality of the maps.
+    Stored coefficients are never zero, so equality of elements is equality
+    of their groups and coefficient maps.
     """
 
-    __slots__ = ("_space", "_map")
+    __slots__ = ("group", "coeffs")
 
-    def __init__(self, space, entries=None) -> None:
-        size = self._size(space)
+    def __init__(self, group: FiniteGroup, coeffs=None) -> None:
+        size = group.order
         clean: dict[int, Scalar] = {}
-        for k, c in (entries or {}).items():
+        for k, c in (coeffs or {}).items():
             try:
                 k = index(k)
             except TypeError:
-                raise IndexOutOfRange(f"{self._index_name} {k!r} is not an integer") from None
+                raise IndexOutOfRange(f"element index {k!r} is not an integer") from None
             if not 0 <= k < size:
-                raise IndexOutOfRange(
-                    f"{self._index_name} {k} outside {self._space_name} {size}"
-                )
+                raise IndexOutOfRange(f"element index {k} outside group of order {size}")
             value = c if c.__class__ is Scalar else _coerce(c)
             if value is None:
                 raise TypeError(
-                    f"coefficient {c!r} at {self._index_name} {k} "
-                    "is not a Scalar, int, or Fraction"
+                    f"coefficient {c!r} at element index {k} is not a Scalar, int, or Fraction"
                 )
             if value:
                 clean[k] = value
-        self._space = space
-        self._map = clean
+        self.group = group
+        self.coeffs = clean
 
     @classmethod
-    def zero(cls, space):
-        return cls(space)
-
-    def terms(self) -> list[tuple[int, Scalar]]:
-        return sorted(self._map.items())
-
-    def is_zero(self) -> bool:
-        return not self._map
-
-    def _require_same_space(self, other: "_Vector") -> None:
-        if self._space != other._space:
-            raise self._mismatch(self._mismatch_text)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._space == other._space and self._map == other._map
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        self._require_same_space(other)
-        acc = dict(self._map)
-        for k, c in other._map.items():
-            acc[k] = acc.get(k, ZERO) + c
-        return self.__class__(self._space, acc)
-
-    def __sub__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        self._require_same_space(other)
-        acc = dict(self._map)
-        for k, c in other._map.items():
-            acc[k] = acc.get(k, ZERO) - c
-        return self.__class__(self._space, acc)
-
-    def __neg__(self):
-        return self.__class__(self._space, {k: -c for k, c in self._map.items()})
-
-    def __rmul__(self, other):
-        k = _coerce(other)
-        if k is None:
-            return NotImplemented
-        return self.__class__(self._space, {i: k * c for i, c in self._map.items()})
-
-    __mul__ = __rmul__
-
-
-class AlgebraElement(_Vector):
-    """Sparse element of a group algebra: ``coeffs`` maps group indices to Scalars."""
-
-    __slots__ = ()
-    group = _Vector._space
-    coeffs = _Vector._map
-    _size = attrgetter("order")
-    _index_name, _space_name = "element index", "group of order"
-    _mismatch, _mismatch_text = GroupMismatch, "operands belong to different groups"
+    def zero(cls, group: FiniteGroup) -> "AlgebraElement":
+        return cls(group)
 
     @classmethod
     def basis(cls, group: FiniteGroup, g: int, coeff: Scalar = ONE) -> "AlgebraElement":
@@ -216,6 +152,50 @@ class AlgebraElement(_Vector):
 
     def coefficient(self, g: int) -> Scalar:
         return self.coeffs.get(g, ZERO)
+
+    def terms(self) -> list[tuple[int, Scalar]]:
+        return sorted(self.coeffs.items())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _require_same_group(self, other: "AlgebraElement") -> None:
+        if self.group != other.group:
+            raise GroupMismatch("operands belong to different groups")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._require_same_group(other)
+        acc = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc[k] = acc.get(k, ZERO) + c
+        return AlgebraElement(self.group, acc)
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._require_same_group(other)
+        acc = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc[k] = acc.get(k, ZERO) - c
+        return AlgebraElement(self.group, acc)
+
+    def __neg__(self) -> "AlgebraElement":
+        return AlgebraElement(self.group, {k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        k = _coerce(other)
+        if k is None:
+            return NotImplemented
+        return AlgebraElement(self.group, {i: k * c for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -253,7 +233,7 @@ def scale(k, x: AlgebraElement) -> AlgebraElement:
 
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The group-algebra product: full bilinear expansion through the Cayley table."""
-    x._require_same_space(y)
+    x._require_same_group(y)
     table = x.group.cayley
     acc: dict[int, Scalar] = {}
     for i, ci in x.coeffs.items():

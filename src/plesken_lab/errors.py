@@ -33,13 +33,5 @@ class InvalidHom(PleskenLabError):
     """Map table is not a group homomorphism."""
 
 
-class NotInSpan(PleskenLabError):
-    """Element has a component outside the span of the hat basis."""
-
-
-class BasisMismatch(PleskenLabError):
-    """Operands refer to different hat bases."""
-
-
 class InvalidPrime(PleskenLabError):
     """Parameter must be an odd prime."""

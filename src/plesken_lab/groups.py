@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator, Sequence
-from math import gcd
+from math import gcd, prod
 from operator import attrgetter, index, itemgetter
 
 from .errors import (
@@ -603,17 +603,20 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     first: ``img[y] = img[x]*h_i``.  It is kept when ``_is_hom``, the test every
     ``GroupHom`` passes, accepts it.  A hom with images h_i equals its fill, so
     none is missed; the identity's own steps set ``img[g_i] = h_i``, so distinct
-    choices give distinct tables.
+    choices give distinct tables.  ``HOM_SEARCH_LIMIT`` bounds the number of
+    choices the loop walks: the product of the candidate counts.
     """
     gens = G.generators
-    if H.order ** len(gens) > HOM_SEARCH_LIMIT:
-        raise SearchTooLarge(
-            f"hom search size {H.order}^{len(gens)} exceeds {HOM_SEARCH_LIMIT}"
-        )
     orders_G, orders_H = _element_orders(G), _element_orders(H)
     candidates = [
         [h for h in range(H.order) if orders_G[g] % orders_H[h] == 0] for g in gens
     ]
+    size = prod(map(len, candidates))
+    if size > HOM_SEARCH_LIMIT:
+        raise SearchTooLarge(
+            f"hom search size {size} ({' * '.join(str(len(c)) for c in candidates)} "
+            f"candidate images) exceeds {HOM_SEARCH_LIMIT}"
+        )
     # order(x*y) == order(y*x), so one of each unordered pair of generators is enough
     pairs = [
         (i, j, orders_G[G.cayley[gens[i]][gens[j]]])
@@ -652,19 +655,34 @@ def _as_subgroup(G: FiniteGroup, members: list[int]) -> FiniteGroup:
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
-    """All subgroups generated by at most two elements, smallest first.
+    """All subgroups of G, smallest first, by cyclic extension.
 
     Each result is a FiniteGroup whose ``embedding`` maps local indices back
-    into G.  Covers every subgroup whenever all subgroups of G are
-    2-generated, which holds for the built-in families up to the order guard.
+    into G.  Every subgroup is <g_1, ..., g_r> for some elements, so extending
+    each subgroup H found by one element outside it, until nothing new turns
+    up, finds them all (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005).  <H, g> = <H, xh> for every generator x of <g> and
+    h in H, so one g of each set of such products is tried.
     """
     if G.order > SUBGROUP_ORDER_LIMIT:
         raise SearchTooLarge(
             f"subgroup enumeration needs order <= {SUBGROUP_ORDER_LIMIT}, got {G.order}"
         )
-    subsets = {frozenset({G.identity}), frozenset(range(G.order))}
-    for a in range(G.order):
-        for b in range(a, G.order):
-            subsets.add(closure(G, {a, b}))
-    ordered = sorted(subsets, key=lambda s: (len(s), sorted(s)))
+    table, generators = G.cayley, {}  # each cyclic subgroup and the elements that generate it
+    for g in range(G.order):
+        generators.setdefault(closure(G, [g]), []).append(g)
+    found = {frozenset({G.identity}): []}  # each subgroup, by the generators it was found from
+    layer = list(found)
+    while layer:
+        grown = []
+        for H in layer:
+            covered = set(H)
+            for gs in generators.values():
+                if gs[0] not in covered:
+                    covered.update(table[x][h] for x in gs for h in H)
+                    if (K := closure(G, found[H] + gs[:1])) not in found:
+                        found[K] = found[H] + gs[:1]
+                        grown.append(K)
+        layer = grown
+    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return [_as_subgroup(G, sorted(s)) for s in ordered]

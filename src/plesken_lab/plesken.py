@@ -1,9 +1,10 @@
-"""Hat elements g - g^{-1}: canonical bases, brackets, structure constants.
+"""Hat elements g - g^{-1}: canonical bases, structure constants, hat lifts.
 
 The span of all hat elements is closed under the commutator bracket, so it
-carries a Lie algebra structure of its own; everything here manipulates
-coordinates over a canonical choice of hat representatives.  Coordinate
-vectors use the sparse-vector arithmetic of ``algebra._Vector``.
+carries a Lie algebra structure of its own.  Its data are integers: over a
+canonical choice of hat representatives every structure constant is a small
+integer and every hat lift sends a basis hat to +-1 times a basis hat or to
+zero, so everything here is read straight from the Cayley table.
 """
 
 from __future__ import annotations
@@ -11,18 +12,19 @@ from __future__ import annotations
 from itertools import repeat
 from operator import attrgetter, index
 
-from .algebra import AlgebraElement, ONE, Scalar, ZERO, _Vector, lie_bracket
-from .errors import BasisMismatch, InvalidPrime, NotInSpan
+from .errors import InvalidPrime
 from .groups import FiniteGroup, GroupHom, _Frozen, _is_odd_prime, _set
 
 
-def hat(G: FiniteGroup, g: int) -> AlgebraElement:
-    """The antisymmetrized element g - g^{-1}; zero for involutions and identity."""
+def hat(G: FiniteGroup, g: int):
+    """The antisymmetrized element g - g^{-1} of C[G]; zero for involutions and identity."""
+    # imported here: no other name of this module needs group-algebra elements,
+    # so `plesken` commands never load `algebra` and its Fraction scalars
+    from .algebra import AlgebraElement, ONE
+
     g = G._check_index(g)
     gi = G.inv[g]
-    coeffs = {g: ONE}
-    coeffs[gi] = coeffs.get(gi, ZERO) - ONE
-    return AlgebraElement(G, coeffs)
+    return AlgebraElement(G, {g: ONE, gi: -ONE} if g != gi else {})
 
 
 class PleskenBasis(_Frozen):
@@ -59,80 +61,12 @@ def canonical_basis(G: FiniteGroup) -> PleskenBasis:
     return PleskenBasis(G)
 
 
-class PleskenElement(_Vector):
-    """Sparse vector over a PleskenBasis: ``coords`` maps basis positions to Scalars."""
-
-    __slots__ = ()
-    basis = _Vector._space
-    coords = _Vector._map
-    _size = attrgetter("dimension")
-    _index_name, _space_name = "coordinate", "basis of dim"
-    _mismatch, _mismatch_text = BasisMismatch, "operands use different bases"
-
-    @classmethod
-    def unit(cls, basis: PleskenBasis, k: int, coeff: Scalar = ONE) -> "PleskenElement":
-        return cls(basis, {k: coeff})
-
-    def __repr__(self) -> str:
-        labels = self.basis.group.labels
-        body = " + ".join(f"({c})*{labels[self.basis.reps[k]]}^" for k, c in self.terms())
-        return f"PleskenElement({body or '0'})"
-
-
-def reduce(x: AlgebraElement, basis: PleskenBasis | None = None) -> PleskenElement:
-    """Coordinates of x over the hat basis.
-
-    Hat multiples are subtracted greedily per representative; a nonzero
-    residual means x has a component outside the span and raises NotInSpan.
-    """
-    b = basis if basis is not None else canonical_basis(x.group)
-    if b.group != x.group:
-        raise BasisMismatch("element and basis use different groups")
-    residual = dict(x.coeffs)
-    coords: dict[int, Scalar] = {}
-    for k, g in enumerate(b.reps):
-        c = residual.pop(g, None)
-        if c is None:
-            continue
-        coords[k] = c
-        gi = x.group.inv[g]
-        r = residual.get(gi, ZERO) + c
-        if r:
-            residual[gi] = r
-        else:
-            residual.pop(gi, None)
-    if residual:
-        raise NotInSpan(
-            f"nonzero component outside the hat span at indices {sorted(residual)}"
-        )
-    return PleskenElement(b, coords)
-
-
-def embed(x: PleskenElement) -> AlgebraElement:
-    """The group-algebra element sum_k coords[k] * (rep_k - rep_k^{-1})."""
-    G = x.basis.group
-    acc: dict[int, Scalar] = {}
-    for k, c in x.coords.items():
-        g = x.basis.reps[k]
-        gi = G.inv[g]
-        acc[g] = acc.get(g, ZERO) + c
-        acc[gi] = acc.get(gi, ZERO) - c
-    return AlgebraElement(G, acc)
-
-
-def plesken_bracket(x: PleskenElement, y: PleskenElement) -> PleskenElement:
-    """Commutator of the embedded elements, reduced back to coordinates."""
-    x._require_same_space(y)
-    return reduce(lie_bracket(embed(x), embed(y)), x.basis)
-
-
-def bracket_expansion_check(G: FiniteGroup, g: int, h: int) -> bool:
-    """True iff [g^, h^] equals (gh)^ - (gh^{-1})^ - (g^{-1}h)^ + (g^{-1}h^{-1})^."""
-    lhs = lie_bracket(hat(G, g), hat(G, h))
-    gi, hi = G.inv[g], G.inv[h]
-    t = G.cayley
-    rhs = hat(G, t[g][h]) - hat(G, t[g][hi]) - hat(G, t[gi][h]) + hat(G, t[gi][hi])
-    return lhs == rhs
+# Retired: the benchmark's tracer still wraps these three names by their entries
+# in ``LAYER_FUNCTIONS`` (perfbench/tracing.py), and no code calls them.  The
+# benchmark-only change of ROADMAP items 1 and 15 deletes both together.
+def reduce(*args): raise NotImplementedError("reduce was retired")
+def embed(*args): raise NotImplementedError("embed was retired")
+def plesken_bracket(*args): raise NotImplementedError("plesken_bracket was retired")
 
 
 def structure_constants(B: PleskenBasis) -> dict[tuple[int, int], dict[int, int]]:

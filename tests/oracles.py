@@ -1,15 +1,18 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here reuses the library's search or reduction code paths: ranks come
-from plain Fraction elimination, homomorphism sets from exhaustive map
-search, subgroup sets from full subset closure, matrix inverses from
+from fraction-free integer elimination, homomorphism sets from exhaustive map
+search, subgroup sets from full subset closure, conjugacy classes from
+conjugating by every element, product groups from the product of two
+tables, matrix inverses from
 search over the whole matrix group, the functor's composition law from
 every composable pair, its equal lifts from the hat of every hom image,
 the subgroups and homset sizes of the Heisenberg group in closed form in p,
 the group axioms from every triple of a table, Lie maps from every bracket
 of two basis hats, the Cohen-Taylor dimensions from character degrees
-in closed form, and the report layout from ``json.dumps``.  The seeded
-random elements at the end are drawn for the library's property checks.
+in closed form, and the report layout from ``json.dumps``.  The four-hat
+expansion of a bracket and the seeded random elements at the end are built
+from the library's own elements, for its property checks.
 """
 
 from __future__ import annotations
@@ -18,31 +21,46 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from random import Random
 from types import SimpleNamespace
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def rank(rows) -> int:
+    """Rank over the rationals of integer rows ``{column: value}``, fraction-free.
+
+    Each row is reduced against the pivot rows on its lowest column with
+    r := a*r - b*p (a, b the two entries there) and divided by the gcd of
+    its entries, until it is zero or opens a new pivot column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {k: v for k, v in row.items() if v}
+        while r:
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = r
+                break
+            a, b = p[col], r[col]
+            r = {k: a * r.get(k, 0) - b * p.get(k, 0) for k in r.keys() | p.keys()}
+            r = {k: v for k, v in r.items() if v}
+            g = gcd(*r.values()) if r else 1
+            r = {k: v // g for k, v in r.items()}
+    return len(pivots)
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals of dense rows of ints or Fractions, by ``rank``.
+
+    Each row is scaled by the lcm of its denominators.  The benchmark's
+    ``perfbench/run.py --write-reference`` calls this by name.
+    """
+    sparse = []
+    for row in map(list, rows):
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        sparse.append({j: int(Fraction(v) * scale) for j, v in enumerate(row) if v})
+    return rank(sparse)
 
 
 def is_group_table(t) -> bool:
@@ -114,6 +132,23 @@ def all_subgroup_sets(G) -> set[frozenset[int]]:
     return out
 
 
+def conjugacy_class_count(G) -> int:
+    """k(G): the number of classes {y x y^-1 : y in G}, each found by conjugating by all of G."""
+    t, seen, count = G.cayley, set(), 0
+    for x in range(G.order):
+        if x not in seen:
+            seen.update(t[t[y][x]][G.inv[y]] for y in range(G.order))
+            count += 1
+    return count
+
+
+def direct_product_table(t1, t2) -> list[list[int]]:
+    """The Cayley table of the product of two tables: (a, b) is index a * len(t2) + b."""
+    n = len(t2)
+    pairs = [(a, b) for a in range(len(t1)) for b in range(n)]
+    return [[t1[a][c] * n + t2[b][d] for c, d in pairs] for a, b in pairs]
+
+
 def compose_hat_maps(first, second):
     """The integer hat map of ``second`` after ``first``."""
     out = []
@@ -172,18 +207,11 @@ def center_and_derived_dims(table, dim: int) -> tuple[int, int]:
     has dimension ``dim`` less its rank; [L, L] is spanned by the [e_k, e_l].
     """
     adjoint = [
-        [c for l in range(dim) for c in _coordinates(_table_bracket(table, k, l), dim)]
+        {l * dim + m: c for l in range(dim) for m, c in _table_bracket(table, k, l).items()}
         for k in range(dim)
     ]
-    derived = [
-        _coordinates(_table_bracket(table, k, l), dim)
-        for k, l in itertools.combinations(range(dim), 2)
-    ]
-    return dim - exact_rank(adjoint), exact_rank(derived)
-
-
-def _coordinates(vector: dict[int, int], dim: int) -> list[int]:
-    return [vector.get(m, 0) for m in range(dim)]
+    derived = [_table_bracket(table, k, l) for k, l in itertools.combinations(range(dim), 2)]
+    return dim - rank(adjoint), rank(derived)
 
 
 def _partitions(n: int, largest: int):
@@ -353,6 +381,19 @@ def random_scalar(rng: Random):
     from plesken_lab import Scalar  # the oracles above never import the library
 
     return Scalar.of(*rng.choice(RANDOM_COEFFS))
+
+
+def bracket_expansion_check(G, g: int, h: int) -> bool:
+    """True iff [g^, h^] equals (gh)^ - (gh^{-1})^ - (g^{-1}h)^ + (g^{-1}h^{-1})^ in C[G].
+
+    Both sides are group-algebra elements: the bracket by ``lie_bracket``, the
+    four hats by ``hat`` from the products read off the table.
+    """
+    from plesken_lab import hat, lie_bracket
+
+    gi, hi, t = G.inv[g], G.inv[h], G.cayley
+    rhs = hat(G, t[g][h]) - hat(G, t[g][hi]) - hat(G, t[gi][h]) + hat(G, t[gi][hi])
+    return lie_bracket(hat(G, g), hat(G, h)) == rhs
 
 
 def random_element(group, rng: Random, max_support: int = 5):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -18,6 +19,7 @@ from plesken_lab import (
     element_from_json,
     element_to_json,
     enumerate_homs,
+    group_from_name,
     identity_hom,
     lie_bracket,
     lift_hom_bar,
@@ -26,7 +28,7 @@ from plesken_lab import (
     trivial_hom,
 )
 from plesken_lab.algebra import I, ONE, ZERO, Scalar
-from oracles import random_element, random_scalar
+from oracles import conjugacy_class_count, random_element, random_scalar, rank
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)
@@ -257,3 +259,22 @@ def test_random_element_is_seed_deterministic(catalog):
     xs = [random_element(G, Random(42)) for _ in range(2)]
     assert xs[0] == xs[1]
     assert all(len(random_element(G, Random(s)).coeffs) <= 5 for s in range(20))
+
+
+@pytest.mark.parametrize("spec,dims", [
+    ("S3", (3, 3)), ("D4", (5, 3)), ("S4", (5, 19)), ("H3", (11, 16)), ("D6", (6, 6)),
+])
+def test_group_algebra_center_and_derived_dimensions(spec, dims):
+    # the Lie algebra of C[G]: its center has dimension k(G), and [C[G], C[G]] has
+    # |G| - k(G), with every bracket of two basis elements computed by lie_bracket
+    G = group_from_name(spec)
+    n, k = G.order, conjugacy_class_count(G)
+    brackets = {}
+    for g, h in itertools.product(range(n), repeat=2):
+        br = lie_bracket(AlgebraElement.basis(G, g), AlgebraElement.basis(G, h))
+        assert all(not c.im and c.re.denominator == 1 for c in br.coeffs.values())
+        brackets[g, h] = {x: int(c.re) for x, c in br.coeffs.items()}
+    adjoint = [
+        {h * n + x: c for h in range(n) for x, c in brackets[g, h].items()} for g in range(n)
+    ]
+    assert (n - rank(adjoint), rank(brackets.values())) == (k, n - k) == dims

@@ -32,7 +32,9 @@ from plesken_lab import (
     validate_hom,
 )
 from conftest import CHILD_ENV
-from oracles import all_hom_tables, all_subgroup_sets, compose_permutations, is_group_table
+from oracles import (
+    all_hom_tables, all_subgroup_sets, compose_permutations, direct_product_table, is_group_table,
+)
 
 
 def assert_group_axioms(G: FiniteGroup) -> None:
@@ -397,9 +399,12 @@ def test_stored_generating_sets(spec, gens):
 
 
 def test_hom_search_guard(catalog, monkeypatch):
+    # K4's two generators have order 2: 4 candidate images each in S3, not |S3| = 6
     monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 10)
-    with pytest.raises(SearchTooLarge):
+    with pytest.raises(SearchTooLarge, match=r"^hom search size 16 \(4 \* 4 candidate images\) "):
         enumerate_homs(catalog["K4"], catalog["S3"])
+    monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 20)
+    assert len(enumerate_homs(catalog["K4"], catalog["S3"])) == 10
 
 
 def test_compose_homs(catalog):
@@ -444,6 +449,26 @@ def test_subgroups_match_full_subset_closure(spec):
     assert G.order <= 12
     found = {frozenset(S.embedding) for S in enumerate_subgroups(G)}
     assert found == all_subgroup_sets(G)
+
+
+def _product(*specs: str) -> FiniteGroup:
+    tables = [group_from_name(spec).cayley for spec in specs]
+    table = tables[0]
+    for other in tables[1:]:
+        table = direct_product_table(table, other)
+    return FiniteGroup(table)
+
+
+@pytest.mark.parametrize("specs,count", [
+    (("C2", "C2", "C2", "C2"), 67),  # pairs of elements generate only 52 of them
+    (("C2", "D4"), 35),  # pairs miss the two C2^3 subgroups
+    (("C2", "C2", "C4"), 27),
+])
+def test_subgroups_of_products_match_full_subset_closure(specs, count):
+    G = _product(*specs)
+    found = [frozenset(S.embedding) for S in enumerate_subgroups(G)]
+    assert len(found) == len(set(found)) == count
+    assert set(found) == all_subgroup_sets(G)
 
 
 def test_group_order_guard(monkeypatch):
