@@ -1,8 +1,8 @@
-"""Command-line front end with stable JSON output.
+"""Command-line front end: one JSON report per command, the only output.
 
-Every command emits a single report object: schema_version, an echo of the
-parsed command, the payload, and the exit code.  JSON output is deterministic
-for fixed arguments; text mode is human-oriented and not schema-stable.
+Every command writes a single report object (docs/schema.md): schema_version,
+an echo of the parsed command, the payload or an error, and the exit code.
+The bytes are deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -30,46 +30,33 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-
     parser = argparse.ArgumentParser(
         prog="plesken-lab",
         description="Exact finite-group algebra and hat-span Lie algebra toolkit",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("group", parents=[shared], help="describe a group")
+    p = sub.add_parser("group", help="describe a group")
     p.add_argument("spec", help="group spec, e.g. C6, S3, D4, K4, H3")
 
-    p = sub.add_parser("bracket", parents=[shared], help="commutator of two elements")
+    p = sub.add_parser("bracket", help="commutator of two elements")
     p.add_argument("spec")
     p.add_argument("x", help="element expression, e.g. '2*e + (1/2)*a - i*a^2'")
     p.add_argument("y")
 
-    p = sub.add_parser("plesken", parents=[shared], help="hat basis data")
+    p = sub.add_parser("plesken", help="hat basis data")
     p.add_argument("spec")
     p.add_argument("what", choices=("basis", "dim", "sc"))
 
-    p = sub.add_parser("homs", parents=[shared], help="enumerate homomorphisms")
+    p = sub.add_parser("homs", help="enumerate homomorphisms")
     p.add_argument("domain")
     p.add_argument("codomain")
 
-    p = sub.add_parser("functor", parents=[shared], help="verify the lifting functor")
+    p = sub.add_parser("functor", help="verify the lifting functor")
     p.add_argument("action", choices=("check", "counterexample", "full"))
     p.add_argument("--ambient", required=True, help="ambient group spec")
 
     return parser
-
-
-def _echo(args: argparse.Namespace) -> dict:
-    return {
-        "verb": args.verb,
-        "args": {k: v for k, v in sorted(vars(args).items()) if k not in ("verb", "format")},
-        "format": args.format,
-    }
 
 
 def _run_group(args) -> tuple[dict, int]:
@@ -195,58 +182,6 @@ _DISPATCH = {
 }
 
 
-def _format_text(report: dict) -> str:
-    lines = [f"plesken-lab {report['command']['verb']}"]
-    if "error" in report:
-        lines.append(f"error: {report['error']}")
-    else:
-        lines.extend(_text_payload(report["command"]["verb"], report["payload"]))
-    lines.append(f"exit: {report['exit_code']}")
-    return "\n".join(lines)
-
-
-def _text_payload(verb: str, payload: dict) -> list[str]:
-    if verb == "group":
-        return [
-            f"spec: {payload['spec']}",
-            f"order: {payload['order']}",
-            f"involutions: {payload['involution_count']}",
-            "elements: " + " ".join(payload["labels"]),
-        ]
-    if verb == "bracket":
-        from .algebra import Scalar, parse_fraction
-
-        terms = payload["terms"]
-        if not terms:
-            return ["result: 0"]
-        body = " + ".join(
-            f"({Scalar(parse_fraction(t['re']), parse_fraction(t['im']))})*{t['elem']}"
-            for t in terms
-        )
-        return [f"result: {body}"]
-    if verb == "plesken":
-        lines = [f"group: {payload['group']}", f"dim: {payload['dim']}"]
-        if "basis" in payload:
-            lines.append("basis: " + " ".join(payload["basis"]))
-        if "sc" in payload:
-            lines.append(f"nonzero structure constants: {len(payload['sc'])}")
-        return lines
-    if verb == "homs":
-        return [f"count: {payload['count']}"] + [
-            "image: " + " ".join(map(str, image)) for (image,) in payload["homs"]
-        ]
-    lines = [f"ambient: {payload['ambient']}", f"objects: {len(payload['objects'])}"]
-    if "all_hold" in payload:
-        lines.append(f"laws hold: {payload['all_hold']}")
-        for c, ok in payload["object_map"].items():
-            lines.append(f"object map ({c}): {'ok' if ok else 'failed'}")
-    if "all_full" in payload:
-        lines.append(f"full: {payload['all_full']}")
-    if "count" in payload:
-        lines.append(f"witness pairs: {payload['count']}")
-    return lines
-
-
 class _Rows(list):
     """Records given as tuples of values under one tuple of field names.
 
@@ -335,17 +270,11 @@ def _records_text(rows: _Rows) -> list[str]:
     return list(map(template.__mod__, zip(*texts)))
 
 
-def _emit(report: dict, fmt: str) -> None:
-    pieces = _json_text(report) if fmt == "json" else [_format_text(report)]
-    pieces.append("\n")
-    sys.stdout.writelines(pieces)
-    sys.stdout.flush()
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    report = {"schema_version": SCHEMA_VERSION, "command": _echo(args)}
+    echo = {"verb": args.verb, "args": {k: v for k, v in vars(args).items() if k != "verb"}}
+    report = {"schema_version": SCHEMA_VERSION, "command": echo}
     try:
         report["payload"], code = _DISPATCH[args.verb](args)
     except (ParseError, InvalidSpec) as exc:
@@ -355,8 +284,11 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         code = EXIT_GUARD
     report["exit_code"] = code
+    pieces = _json_text(report)
+    pieces.append("\n")
     try:
-        _emit(report, args.format)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): exit as a shell reports a writer killed by
         # SIGPIPE, without a traceback; stdout goes to devnull, or the interpreter's last

@@ -12,7 +12,6 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
-from .algebra import AlgebraElement, BarLift, Scalar, ZERO
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
 from .plesken import HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
 
@@ -29,6 +28,10 @@ def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    # imported here: no other name of this module needs group-algebra elements (annotations
+    # are never evaluated), so `functor full` and `functor counterexample` never load `algebra`
+    from .algebra import AlgebraElement, ZERO
+
     G, k = x.group, 2 if convention == "literal" else 1
     acc: dict[int, Scalar] = {}
     for g in {min(g, G.inv[g]) for g in x.coeffs}:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +13,7 @@ from plesken_lab import (
     AlgebraElement,
     GroupHom,
     GroupMismatch,
+    IndexOutOfRange,
     InvalidHom,
     ParseError,
     add,
@@ -59,6 +61,37 @@ def test_scalar_basics():
     assert str(Scalar.of(Fraction(1, 2), -2)) == "1/2-2i"
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+def test_algebra_element_vector_arithmetic(catalog):
+    C3, C6 = catalog["C3"], catalog["C6"]
+    with pytest.raises(IndexOutOfRange, match="^element index 3 outside group of order 3$"):
+        AlgebraElement(C3, {3: 1})
+    x = AlgebraElement(C3, {0: Scalar.of(2, 1)})
+    for op in (operator.add, operator.sub):
+        with pytest.raises(GroupMismatch, match="^operands belong to different groups$"):
+            op(x, AlgebraElement(C6, {0: 1}))
+    zero = AlgebraElement.zero(C3)
+    assert zero != AlgebraElement.zero(C6) and not zero == {}
+    with pytest.raises(TypeError):
+        hash(x)
+    assert (x - x).is_zero() and x - x == zero
+    assert -x + x == zero and x.terms() == [(0, Scalar.of(2, 1))]
+    assert x != AlgebraElement(C3, {0: 2}) and x != AlgebraElement(C6, {0: Scalar.of(2, 1)})
+    for k in (3, Fraction(3), Scalar.of(3)):
+        assert k * x == x * k == AlgebraElement(C3, {0: Scalar.of(6, 3)})
+    y = Scalar.of(Fraction(1, 2), -1) * x
+    assert y == AlgebraElement(C3, {0: Scalar.of(2, Fraction(-3, 2))})
+
+
+def test_algebra_element_arithmetic_refuses_other_operands(catalog):
+    x = AlgebraElement(catalog["C3"], {0: 1})
+    for other in (1, Scalar.of(1), None, {0: 1}):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(x, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, x)
 
 
 def test_add_and_scale_examples(catalog):
