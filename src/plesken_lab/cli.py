@@ -11,7 +11,8 @@ import argparse
 import os
 import sys
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder exports
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import InvalidSpec, ParseError, SearchTooLarge
@@ -92,9 +93,7 @@ def _run_plesken(args) -> tuple[dict, int]:
     if args.what in ("basis", "sc"):
         payload["basis"] = [G.labels[g] for g in basis.reps]
     if args.what == "sc":
-        table = structure_constants(basis)
-        rows = [(k, l, m, str(c), "0") for (k, l), row in table.items() for m, c in row.items()]
-        payload["sc"] = _Rows(("k", "l", "m", "re", "im"), rows)
+        payload["sc"] = _Constants(structure_constants(basis))
     return payload, EXIT_OK
 
 
@@ -194,6 +193,29 @@ class _Rows(list):
         self.fields = fields
 
 
+class _Constants(dict):
+    """Structure constants ``{(k, l): {m: c}}``, written in the table's order.
+
+    Each term c e_m of [e_k, e_l] is the record ``{"im": "0", "k": k, "l": l,
+    "m": m, "re": "c"}``: schema 6 writes the integer c as the scalar c + 0i.
+    The records of a pair share their text up to ``"m"``, and each distinct
+    term (m, c) is formatted once, so the work per record runs in C.
+    """
+
+    def text(self, comma: str) -> str:
+        """The records, joined by ``comma``."""
+        rows = self.values()
+        # `%d` writes 1.5 and True as 1, so every c must be an int; k, l and m are ints by
+        # construction, the positions `structure_constants` counts
+        if set(map(type, chain.from_iterable(map(dict.values, rows)))) - {int}:
+            raise TypeError("cannot write a structure constant that is not an int as JSON")
+        prefixes = list(map('{"im": "0", "k": %d, "l": %d, '.__mod__, self))
+        terms = map(map, repeat(cache('"m": %d, "re": "%d"}'.__mod__)), map(dict.items, rows))
+        # each pair's records, less the prefix of its first
+        pairs = map(str.join, map(comma.__add__, prefixes), terms)
+        return comma.join(map(str.__add__, prefixes, pairs))
+
+
 def _json_text(value, newline: str = "\n") -> list[str]:
     """The report layout of ``value``, as pieces to write in order.
 
@@ -201,12 +223,14 @@ def _json_text(value, newline: str = "\n") -> list[str]:
     except that each dict that is an item of a list is on one line, exactly
     ``json.dumps(item, sort_keys=True)``; ``newline=""`` writes all of
     ``value`` that way.  A ``_Rows`` value is written as its list of dicts,
-    each record through one ``%`` template (``_records_text``).  A list is
+    each record through one ``%`` template (``_records_text``), and a
+    ``_Constants`` value as its records (``_Constants.text``).  A list is
     joined into one piece; a dict passes its values' pieces on uncopied.
 
-    Only ``dict`` with ``str`` keys, ``list``, ``_Rows``, ``str``, ``int``,
-    ``bool`` and ``None`` are written; any other type, ``float`` and ``tuple``
-    included, raises ``TypeError`` (for a key, from ``encode_basestring_ascii``).
+    Only ``dict`` with ``str`` keys, ``list``, ``_Rows``, ``_Constants``,
+    ``str``, ``int``, ``bool`` and ``None`` are written; any other type,
+    ``float`` and ``tuple`` included, raises ``TypeError`` (for a key, from
+    ``encode_basestring_ascii``).
     """
     kind = type(value)
     if kind is str:
@@ -215,7 +239,7 @@ def _json_text(value, newline: str = "\n") -> list[str]:
         return [int.__repr__(value)]
     if value is None or kind is bool:
         return ["null" if value is None else "true" if value else "false"]
-    if kind not in (dict, list, _Rows):
+    if kind not in (dict, list, _Rows, _Constants):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
     if not value:
         return ["{}" if kind is dict else "[]"]
@@ -230,7 +254,9 @@ def _json_text(value, newline: str = "\n") -> list[str]:
             prefix = comma
         pieces.append(newline + "}")
         return pieces
-    if kind is _Rows:
+    if kind is _Constants:
+        items = [value.text(comma)]
+    elif kind is _Rows:
         items = _records_text(value)
     elif set(map(type, value)) == {int}:
         items = map(int.__repr__, value)
@@ -244,10 +270,9 @@ def _records_text(rows: _Rows) -> list[str]:
 
     Each record fills one ``%`` template, so the per-record work runs in C.
     Each field's values are streamed, never stored as a column, and written
-    by their exact types: an int column through ``%d``, a str column through
-    ``encode_basestring_ascii``, and any other column (bools, lists, mixed
-    types, nesting) through ``_json_text``, which refuses every type outside
-    the schema.
+    by their exact types: an int column through ``%d``, and any other column
+    (strings, bools, lists, mixed types, nesting) through ``_json_text``,
+    which refuses every type outside the schema.
     """
     getters = {k: itemgetter(p) for p, k in enumerate(rows.fields)}
     if not getters:
@@ -261,8 +286,6 @@ def _records_text(rows: _Rows) -> list[str]:
         if types == {int}:
             slot = "%d"
             texts.append(map(get, rows))
-        elif types == {str}:
-            texts.append(map(_quote, map(get, rows)))
         else:
             texts.append(map("".join, map(_json_text, map(get, rows), repeat(""))))
         slots.append(_quote(k).replace("%", "%%") + ": " + slot)

@@ -12,13 +12,17 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
+import plesken_lab  # names algebra's classes in annotations, loading `algebra` only when read
+
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
 from .plesken import HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
 
 CONVENTIONS = ("literal", "pairwise")  # of object_map
 
 
-def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement:
+def object_map(
+    x: plesken_lab.AlgebraElement, convention: str = "literal"
+) -> plesken_lab.AlgebraElement:
     """Antisymmetrize x into the hat span.
 
     ``literal`` sums (a_g - a_{g^{-1}})(g - g^{-1}) over every group element,
@@ -28,12 +32,12 @@ def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    # imported here: no other name of this module needs group-algebra elements (annotations
-    # are never evaluated), so `functor full` and `functor counterexample` never load `algebra`
+    # imported here: no other name of this module needs group-algebra elements, so
+    # `functor full` and `functor counterexample` never load `algebra`
     from .algebra import AlgebraElement, ZERO
 
     G, k = x.group, 2 if convention == "literal" else 1
-    acc: dict[int, Scalar] = {}
+    acc: dict[int, plesken_lab.Scalar] = {}
     for g in {min(g, G.inv[g]) for g in x.coeffs}:
         gi = G.inv[g]
         c = x.coeffs.get(g, ZERO) - x.coeffs.get(gi, ZERO)
@@ -42,7 +46,7 @@ def object_map(x: AlgebraElement, convention: str = "literal") -> AlgebraElement
     return AlgebraElement(G, acc)
 
 
-def morphism_map(fbar: BarLift) -> HatMap:
+def morphism_map(fbar: plesken_lab.BarLift) -> HatMap:
     """Send the bar lift of a group homomorphism to its hat lift, as an integer hat map."""
     return lift_hom_hat(fbar.hom)
 

@@ -94,6 +94,24 @@ def test_algebra_element_arithmetic_refuses_other_operands(catalog):
                 op(other, x)
 
 
+def test_element_keys_must_be_integers(catalog):
+    C3 = catalog["C3"]
+    for key in (1.5, "1"):
+        with pytest.raises(IndexOutOfRange, match=f"element index {key!r} is not an integer"):
+            AlgebraElement(C3, {key: 1})
+    read = AlgebraElement(C3, {True: 1}).coeffs
+    assert read == {1: ONE} and type(next(iter(read))) is int
+
+
+def test_element_coefficients_must_be_exact(catalog):
+    C3 = catalog["C3"]
+    for value in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError, match=f"coefficient {value!r} at element index 0 "):
+            AlgebraElement(C3, {0: value})
+    x = AlgebraElement(C3, {0: True})
+    assert x.terms() == [(0, ONE)] and str(x.terms()[0][1]) == "1"
+
+
 def test_add_and_scale_examples(catalog):
     C3 = catalog["C3"]
     x = parse_element(C3, "2*e + a")

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 import plesken_lab.functor as functor
 import plesken_lab.groups as groups
+import plesken_lab.plesken as plesken
 from plesken_lab import (
-    element_to_json, group_from_name, lie_bracket, parse_element, subgroup_category,
+    canonical_basis, element_to_json, group_from_name, lie_bracket, parse_element,
+    structure_constants, subgroup_category,
 )
 from plesken_lab.cli import _json_text, _Rows, main
-from conftest import CHILD_ENV
+from conftest import CATALOG_SPECS, CHILD_ENV
 from oracles import report_layout
 from test_acceptance import ACCEPTANCE_COMMANDS
 
@@ -77,6 +80,38 @@ def test_plesken_basis_and_sc(capsys):
     entries = report["payload"]["sc"]
     assert entries and all(e["k"] < e["l"] for e in entries)
     assert all(set(e) == {"k", "l", "m", "re", "im"} for e in entries)
+
+
+@pytest.mark.parametrize("spec", (*CATALOG_SPECS, "H5", "S5"))
+def test_sc_records_are_the_structure_constants_in_order(capsys, spec):
+    # the records are written through fixed `%` templates: a wrong key order, spacing or
+    # quoting in them changes the layout or the values read back
+    code, out = run_cli(capsys, "plesken", spec, "sc")
+    assert code == 0
+    report = json.loads(out)
+    # line by line: a failure names its first wrong line without diffing the whole report
+    lines = out.splitlines(keepends=True)
+    layout = (report_layout(report) + "\n").splitlines(keepends=True)
+    assert len(lines) == len(layout)
+    assert next(((a, b) for a, b in zip(lines, layout) if a != b), None) is None
+    table = structure_constants(canonical_basis(group_from_name(spec)))
+    sc = report["payload"]["sc"]
+    assert sc == [
+        {"k": k, "l": l, "m": m, "re": str(c), "im": "0"}
+        for (k, l), row in table.items()
+        for m, c in row.items()
+    ]
+    keys = [(r["k"], r["l"], r["m"]) for r in sc]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("c", [1.5, True, Fraction(3, 2)])
+def test_sc_refuses_a_constant_that_is_not_an_int(capsys, monkeypatch, c):
+    # `%d` would write each of these as 1
+    monkeypatch.setattr(plesken, "structure_constants", lambda basis: {(0, 1): {2: 1, 3: c}})
+    with pytest.raises(TypeError, match="not an int"):
+        main(["plesken", "H3", "sc"])
+    assert capsys.readouterr().out == ""
 
 
 def test_bracket_abelian_is_zero(capsys):

@@ -7,6 +7,7 @@ import importlib
 import json
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -88,6 +89,15 @@ def test_unknown_name_raises_attribute_error():
         plesken_lab.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec("from plesken_lab import no_such_name", {})
+
+
+def test_type_hints_resolve_on_every_public_callable():
+    for name in ALL_NAMES:
+        assert callable(obj := getattr(plesken_lab, name)), name
+        typing.get_type_hints(obj)
+    # `functor` names these two classes of `algebra` without importing it
+    assert typing.get_type_hints(functor.object_map)["x"] is plesken_lab.AlgebraElement
+    assert typing.get_type_hints(functor.morphism_map)["fbar"] is plesken_lab.BarLift
 
 
 # every option string of each verb: a new flag must change this map on purpose
