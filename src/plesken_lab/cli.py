@@ -21,7 +21,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -142,15 +142,16 @@ def _run_functor(args) -> tuple[dict, int]:
     spec = GroupSpec.parse(args.ambient)
     ambient = build_group(spec)
     category = subgroup_category(ambient)
+    table = category.table  # every other record names tables, for all the objects on them
     objects = _Rows(
-        ("index", "order", "elements"),
-        ((i, obj.order, list(obj.labels)) for i, obj in enumerate(category.objects)),
+        ("index", "order", "elements", "table"),
+        ((i, obj.order, list(obj.labels), table[i]) for i, obj in enumerate(category.objects)),
     )
     payload: dict = {"ambient": str(spec), "objects": objects}
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)
-        payload["identity_law"] = _Rows(("object", "ok"), report.identity)
+        payload["identity_law"] = _Rows(("table", "ok"), report.identity)
         payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
         payload["object_map"] = object_check = _object_map_check(ambient)
         payload["all_hold"] = report.all_hold
@@ -166,9 +167,10 @@ def _run_functor(args) -> tuple[dict, int]:
         classes = find_faithfulness_counterexample(category)
         payload["classes"] = _Rows(
             ("source", "target", "images"),
-            ((i, j, list(map(list, images))) for i, j, images in classes),
+            ((a, b, list(map(list, images))) for a, b, images in classes),
         )
-        payload["count"] = sum(len(c.images) * (len(c.images) - 1) // 2 for c in classes)
+        n = category.sizes  # a class of m on tables (a, b): m(m-1)/2 pairs per object pair
+        payload["count"] = sum(n[a] * n[b] * len(c) * (len(c) - 1) // 2 for a, b, c in classes)
     return payload, code
 
 

@@ -55,10 +55,11 @@ class SubgroupCategory:
     """Subgroups of an ambient group, keyed by their distinct Cayley tables.
 
     ``table[i]`` numbers the table of ``objects[i]``, in order of first
-    appearance.  ``bases[a]`` is the hat basis of the first object on table
-    ``a``, and ``homsets[a, b]`` the homs between the first objects on tables
-    ``a`` and ``b``: a hom, its lift and the laws read only the two tables, so
-    every object pair on those tables shares them.
+    appearance, and ``sizes[a]`` counts the objects on table ``a``.
+    ``bases[a]`` is the hat basis of the first object on table ``a``, and
+    ``homsets[a, b]`` the homs between the first objects on tables ``a`` and
+    ``b``: a hom, its lift and the laws read only the two tables, so every
+    object pair on those tables shares them.
     """
 
     def __init__(
@@ -70,6 +71,7 @@ class SubgroupCategory:
         self.table, firsts = _tables(objects)
         if homsets.keys() != set(product(range(len(firsts)), repeat=2)):
             raise ValueError(f"homsets must be keyed by pairs of the {len(firsts)} object tables")
+        self.sizes = tuple(map(self.table.count, range(len(firsts))))
         self.ambient = ambient
         self.objects = objects
         self.bases = tuple(canonical_basis(G) for G in firsts)
@@ -111,8 +113,8 @@ def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
     return SubgroupCategory(ambient, objects, homsets)
 
 
-IdentityLawResult = namedtuple("IdentityLawResult", "object_index ok")
-CompositionLawResult = namedtuple("CompositionLawResult", "source middle target pairs ok")
+IdentityLawResult = namedtuple("IdentityLawResult", "table ok")
+CompositionLawResult = namedtuple("CompositionLawResult", "source middle target triples pairs ok")
 
 
 class LawReport(namedtuple("LawReport", "identity composition")):
@@ -124,7 +126,7 @@ class LawReport(namedtuple("LawReport", "identity composition")):
 
 
 def check_functor_laws(category: SubgroupCategory) -> LawReport:
-    """Verify the identity and composition laws on all homsets.
+    """Verify the identity and composition laws on all homsets, once per table or table triple.
 
     The composition law is checked in two parts:
 
@@ -140,15 +142,19 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
     law: the composite image table is a morphism, and its lift is the
     composite of the two integer hat maps.
 
-    Both laws run once per table or table triple; the object rows (i, j, k)
-    read the result of (table[i], table[j], table[k]).
+    Each row stands for every object triple on its tables: ``triples`` counts
+    them, and ``pairs`` counts their composable pairs,
+    triples·|Hom(a, b)|·|Hom(b, c)|.
     """
-    bases, homsets, lifts = category.bases, category.homsets, category.lifts
-    identity = [
-        lifts[a, a].get(identity_hom(basis.group).image)
-        == tuple((k, 1) for k in range(basis.dimension))
+    bases, homsets, lifts, sizes = category.bases, category.homsets, category.lifts, category.sizes
+    identity = tuple(
+        IdentityLawResult(
+            a,
+            lifts[a, a].get(identity_hom(basis.group).image)
+            == tuple((k, 1) for k in range(basis.dimension)),
+        )
         for a, basis in enumerate(bases)
-    ]
+    )
     gens = [basis.group.generators or (basis.group.identity,) for basis in bases]
     exact = {}  # exact[a, b]: (a) holds on Hom(a, b)
     keys = {}  # keys[a, b]: generator images of every morphism of Hom(a, b)
@@ -158,26 +164,17 @@ def check_functor_laws(category: SubgroupCategory) -> LawReport:
         exact[a, b] = lifts[a, b] == _hat_maps(homset, bases[a], bases[b])
         keys[a, b] = {tuple(map(image.__getitem__, gens[a])) for image in images}
         columns[a, b] = list(zip(*images))
-    law = {}  # law[a, b][c] == (pairs, ok) of the table triple (a, b, c)
-    for a, b in homsets:
-        row = law[a, b] = []
-        for c in range(len(bases)):
-            ok = exact[a, b] and exact[b, c] and exact[a, c]
-            if ok and homsets[b, c]:
-                # each f1 checks all f2 at once: zip yields the composites' generator images
-                found, column = keys[a, c].issuperset, columns[b, c].__getitem__
-                ok = all(found(zip(*map(column, t1))) for t1 in keys[a, b])
-            row.append((len(homsets[a, b]) * len(homsets[b, c]), ok))
-    table = category.table
-    composition_results = []
-    for i, a in enumerate(table):
-        for j, b in enumerate(table):
-            row = law[a, b]
-            composition_results.extend(
-                CompositionLawResult(i, j, k, *row[c]) for k, c in enumerate(table)
-            )
-    identity_results = tuple(IdentityLawResult(i, identity[a]) for i, a in enumerate(table))
-    return LawReport(identity_results, tuple(composition_results))
+    composition = []
+    for a, b, c in product(range(len(bases)), repeat=3):
+        ok = exact[a, b] and exact[b, c] and exact[a, c]
+        if ok and homsets[b, c]:
+            # each f1 checks all f2 at once: zip yields the composites' generator images
+            found, column = keys[a, c].issuperset, columns[b, c].__getitem__
+            ok = all(found(zip(*map(column, t1))) for t1 in keys[a, b])
+        triples = sizes[a] * sizes[b] * sizes[c]
+        pairs = triples * len(homsets[a, b]) * len(homsets[b, c])
+        composition.append(CompositionLawResult(a, b, c, triples, pairs, ok))
+    return LawReport(identity, tuple(composition))
 
 
 FullnessPairResult = namedtuple(
@@ -194,26 +191,23 @@ class FullnessReport(namedtuple("FullnessReport", "pairs")):
 
 
 def check_full(category: SubgroupCategory) -> FullnessReport:
-    """For every object pair, count the distinct hat lifts and those with a preimage.
+    """For every table pair, count the distinct hat lifts and those with a preimage.
 
     A pair is ``ok`` when ``witnessed`` equals ``distinct_images``.  Every
     distinct lift is collected from some morphism of the homset, so that
-    holds by construction.  The counts are taken once per table pair.
+    holds by construction.
     """
-    counts = {}  # counts[a, b]: the fields after source and target, once per table pair
-    for ab, lifts in category.lifts.items():
+    pairs = []
+    for (a, b), lifts in sorted(category.lifts.items()):
         distinct = witnessed = len(set(lifts.values()))
-        counts[ab] = (len(lifts), distinct, witnessed, witnessed == distinct)
-    table = category.table
-    return FullnessReport(tuple(
-        FullnessPairResult(i, j, *counts[a, b])
-        for i, a in enumerate(table)
-        for j, b in enumerate(table)
-    ))
+        pairs.append(
+            FullnessPairResult(a, b, len(lifts), distinct, witnessed, witnessed == distinct)
+        )
+    return FullnessReport(tuple(pairs))
 
 
 class FaithfulnessClass(namedtuple("FaithfulnessClass", "source target images")):
-    """Two or more morphisms between the same objects with equal hat lifts, images ascending."""
+    """Two or more morphisms between the same tables with equal hat lifts, images ascending."""
 
     __slots__ = ()
 
@@ -221,18 +215,15 @@ class FaithfulnessClass(namedtuple("FaithfulnessClass", "source target images"))
 def find_faithfulness_counterexample(category: SubgroupCategory) -> list[FaithfulnessClass]:
     """Each class of two or more morphisms with one hat lift, sorted by (source, target, images).
 
-    The classes are found once per table pair.
+    The classes are found, and given, once per table pair: a class stands for
+    one class on every object pair on its tables.
     """
-    classes = {}  # classes[a, b]: the image tables of Hom(a, b) that share each lift, sorted
-    for ab, lifts in category.lifts.items():
+    classes = []
+    for (a, b), lifts in sorted(category.lifts.items()):
         by_lift: dict[HatMap, list[tuple[int, ...]]] = {}
         for image, action in lifts.items():
             by_lift.setdefault(action, []).append(image)
-        classes[ab] = sorted(tuple(sorted(c)) for c in by_lift.values() if len(c) > 1)
-    table = category.table
-    return [
-        FaithfulnessClass(i, j, images)
-        for i, a in enumerate(table)
-        for j, b in enumerate(table)
-        for images in classes[a, b]
-    ]
+        classes += sorted(
+            FaithfulnessClass(a, b, tuple(sorted(c))) for c in by_lift.values() if len(c) > 1
+        )
+    return classes

@@ -68,11 +68,11 @@ def test_criterion_2_k4_zero_algebra_and_witness(catalog):
         category = subgroup_category(K4)
         classes = find_faithfulness_counterexample(category)
         assert classes
-        k4_index = len(category.objects) - 1
+        k4_table = category.table[-1]  # classes name tables; K4 itself is the last object
         identity_image = tuple(range(4))
         trivial_image = (0, 0, 0, 0)
         assert any(
-            (c.source, c.target) == (k4_index, k4_index)
+            (c.source, c.target) == (k4_table, k4_table)
             and {trivial_image, identity_image} <= set(c.images)
             for c in classes
         )

@@ -7,8 +7,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "6"
+    assert report["schema_version"] == "7"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -202,11 +204,17 @@ def test_functor_counterexample_k4(capsys):
     payload = report["payload"]
     classes = payload["classes"]
     assert all(set(c) == {"source", "target", "images"} for c in classes)
-    # count stays the number of pairs: m(m-1)/2 for a class of m morphisms
-    assert payload["count"] == sum(len(c["images"]) * (len(c["images"]) - 1) // 2
-                                   for c in classes) == 165
+    # count stays the number of object pairs: a class of m morphisms on tables (a, b)
+    # stands for m(m-1)/2 on each of the n_a·n_b object pairs on them
+    n = Counter(obj["table"] for obj in payload["objects"])
+    assert n == {0: 1, 1: 3, 2: 1}
+    assert payload["count"] == sum(
+        n[c["source"]] * n[c["target"]] * len(c["images"]) * (len(c["images"]) - 1) // 2
+        for c in classes
+    ) == 165
+    k4 = payload["objects"][4]["table"]
     assert any(
-        (c["source"], c["target"]) == (4, 4)
+        (c["source"], c["target"]) == (k4, k4)
         and [0, 0, 0, 0] in c["images"] and [0, 1, 2, 3] in c["images"]
         for c in classes
     )
@@ -293,14 +301,54 @@ OBJECT_MAP_SAMPLED = (
 )
 
 
+def _expand_to_objects(payload: dict) -> None:
+    """Rewrite a schema 7 functor payload as schema 6 wrote it: a row per object, pair or triple.
+
+    Each table row is copied to every object pair or triple on its tables,
+    with the object indices in place of the table ids; a composition row's
+    `pairs` is divided by its `triples` back to |Hom(i, j)|·|Hom(j, k)|.
+    """
+    table = [obj.pop("table") for obj in payload["objects"]]
+    objects = range(len(table))
+    if "identity_law" in payload:
+        ok = {r["table"]: r["ok"] for r in payload["identity_law"]}
+        payload["identity_law"] = [{"object": i, "ok": ok[table[i]]} for i in objects]
+        rows = {(r["source"], r["middle"], r["target"]): r for r in payload["composition_law"]}
+        payload["composition_law"] = []
+        for i, j, k in product(objects, repeat=3):
+            r = rows[table[i], table[j], table[k]]
+            pairs, rest = divmod(r["pairs"], r["triples"])
+            assert rest == 0, r
+            payload["composition_law"].append(
+                {"source": i, "middle": j, "target": k, "pairs": pairs, "ok": r["ok"]}
+            )
+    if "pairs" in payload:
+        rows = {(r["source"], r["target"]): r for r in payload["pairs"]}
+        payload["pairs"] = [
+            dict(rows[table[i], table[j]], source=i, target=j)
+            for i, j in product(objects, repeat=2)
+        ]
+    if "classes" in payload:
+        classes = defaultdict(list)
+        for c in payload["classes"]:
+            classes[c["source"], c["target"]].append(c["images"])
+        payload["classes"] = [
+            {"source": i, "target": j, "images": images}
+            for i, j in product(objects, repeat=2)
+            for images in classes[table[i], table[j]]
+        ]
+
+
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 6 dropped the `"format": "json"` echo line, schema 5 the
+    Schema 7 wrote the functor records once per table, pair or triple,
+    schema 6 dropped the `"format": "json"` echo line, schema 5 the
     `"convention": "literal"` one and checked the object map under both
     conventions, schema 4 wrote each dict item of a list on one line, schema
     3 dropped the `"seed": 0` echo line and made `check`'s object-map block
     exact, and schema 2 changed only the counterexample payload.  So every
+    functor report gets its object rows back (`_expand_to_objects`), every
     report is re-rendered with `indent=2` and gets its three echo lines back,
     a `check` report its sampled block, a counterexample report the schema 2
     digit and any other report the schema 1 digit, which it was frozen under,
@@ -308,8 +356,10 @@ def _frozen_form(command: str, out: str) -> str:
     """
     report = json.loads(out)
     assert report_layout(report) + "\n" == out, command
+    if command.startswith("functor "):
+        _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "6"\n}\n'
+    tail = '\n  "schema_version": "7"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -368,7 +418,7 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 149_613, "lie_sc": 3_432_822, "functor_laws": 580_211}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_984, "lie_sc": 3_432_822, "functor_laws": 107_470}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 from random import Random
 
 import pytest
 
 import plesken_lab.functor as functor
+import plesken_lab.groups as groups
 from plesken_lab import (
     AlgebraElement,
     SubgroupCategory,
@@ -26,6 +28,7 @@ from plesken_lab import (
     subgroup_category,
     trivial_hom,
 )
+from plesken_lab.cli import main
 from oracles import (
     compose_hat_maps, composition_law_by_pairs, equal_lift_pairs, heisenberg_homset_size,
     heisenberg_subgroup_counts, lie_map_violations, random_element, random_scalar,
@@ -127,7 +130,7 @@ def test_lie_map_check_catches_a_sign_flip(catalog):
 def test_subgroup_category_invariants(catalog):
     C = subgroup_category(catalog["S3"])
     n = len(C.bases)  # S3's 6 subgroups lie on 4 tables: 1, C2 (three of them), C3, S3
-    assert n == 4 and C.table == (0, 1, 1, 1, 2, 3)
+    assert n == 4 and C.table == (0, 1, 1, 1, 2, 3) and C.sizes == (1, 3, 1, 1)
     assert [b.group for b in C.bases] == [C.objects[C.table.index(a)] for a in range(n)]
     assert all(obj.cayley == C.bases[a].group.cayley for obj, a in zip(C.objects, C.table))
     for a, basis in enumerate(C.bases):
@@ -156,35 +159,59 @@ def test_functor_laws_hold(catalog, spec):
     assert all(r.ok for r in report.composition)
 
 
+def _object_rows(C, report):
+    """(source, middle, target, pairs, ok) for every object triple, read from its table row."""
+    rows = {(r.source, r.middle, r.target): r for r in report.composition}
+    out = []
+    for i, j, k in product(range(len(C.objects)), repeat=3):
+        r = rows[C.table[i], C.table[j], C.table[k]]
+        assert r.pairs % r.triples == 0
+        out.append((i, j, k, r.pairs // r.triples, r.ok))
+    return out
+
+
 def test_composition_law_matches_the_pairwise_reference(catalog):
+    rows = {}
     for spec, G in catalog.items():
         C = subgroup_category(G)
-        assert list(check_functor_laws(C).composition) == composition_law_by_pairs(C), spec
+        report = check_functor_laws(C)
+        tables, n = len(C.bases), len(C.objects)
+        assert [r[:3] for r in report.composition] == list(product(range(tables), repeat=3))
+        assert sum(r.triples for r in report.composition) == n**3, spec
+        assert _object_rows(C, report) == composition_law_by_pairs(C), spec
+        rows[spec] = len(report.composition)
+    assert rows["S4"] == 13**3  # 30 objects on 13 tables: 2,197 rows for 27,000 triples
 
 
 def _check_against_reference(C):
-    """The law report, after checking that it passes no triple the reference fails."""
+    """The law report, after checking that it passes no object triple the reference fails."""
     report = check_functor_laws(C)
     reference = composition_law_by_pairs(C)
-    assert [r[:4] for r in report.composition] == [r[:4] for r in reference]
-    assert all(ref[4] or not r.ok for r, ref in zip(report.composition, reference))
+    rows = _object_rows(C, report)
+    assert [r[:4] for r in rows] == [r[:4] for r in reference]
+    assert all(ref[4] or not r[4] for r, ref in zip(rows, reference))
     return report
 
 
 def _touching(C, a, b):
-    """The (source, middle, target) object triples whose law reads the table pair (a, b)."""
-    t, n = C.table, len(C.objects)
+    """The (source, middle, target) table triples whose law reads the table pair (a, b)."""
     return {
-        (i, j, k)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if (a, b) in ((t[i], t[j]), (t[j], t[k]), (t[i], t[k]))
+        (x, y, z)
+        for x, y, z in product(range(len(C.bases)), repeat=3)
+        if (a, b) in ((x, y), (y, z), (x, z))
     }
 
 
 def _failing(report):
     return {(r.source, r.middle, r.target) for r in report.composition if not r.ok}
+
+
+def _cli_failing(monkeypatch, capsys, C):
+    """Exit code and failing (source, middle, target) rows of ``functor check`` on ``C``."""
+    monkeypatch.setattr(functor, "subgroup_category", lambda ambient: C)
+    code = main(["functor", "check", "--ambient", "S3"])
+    rows = json.loads(capsys.readouterr().out)["payload"]["composition_law"]
+    return code, {(r["source"], r["middle"], r["target"]) for r in rows if not r["ok"]}
 
 
 def _top_automorphism(C):
@@ -198,18 +225,16 @@ def _top_automorphism(C):
 
 def test_functor_laws_fail_when_a_composite_is_missing(catalog):
     C = subgroup_category(catalog["S3"])
-    top, t, auto = _top_automorphism(C)
+    _, t, auto = _top_automorphism(C)
     homsets = dict(C.homsets)
     homsets[(t, t)] = tuple(f for f in homsets[(t, t)] if f != auto)
     report = _check_against_reference(SubgroupCategory(C.ambient, C.objects, homsets))
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
-    assert not next(
-        r for r in report.composition if (r.source, r.middle, r.target) == (top, top, top)
-    ).ok
+    assert (t, t, t) in _failing(report)
 
 
-def test_functor_laws_fail_on_a_corrupted_lift(catalog):
+def test_functor_laws_fail_on_a_corrupted_lift(catalog, monkeypatch, capsys):
     C = subgroup_category(catalog["S3"])
     top, t, auto = _top_automorphism(C)
     lift = C.lifts[(t, t)][auto.image]
@@ -219,13 +244,15 @@ def test_functor_laws_fail_on_a_corrupted_lift(catalog):
     report = _check_against_reference(C)
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
-    assert _failing(report) == _touching(C, t, t)
+    # the table triples that read Hom(t, t): 3·4 - 3 + 1 = 10 of S3's 4³ = 64
+    assert _failing(report) == _touching(C, t, t) and len(_touching(C, t, t)) == 10
+    assert _cli_failing(monkeypatch, capsys, C) == (1, _touching(C, t, t))
 
     C = subgroup_category(catalog["S3"])
     ident = identity_hom(C.objects[top]).image
     C.lifts[(t, t)][ident] = (None,) * len(C.lifts[(t, t)][ident])
     report = check_functor_laws(C)
-    assert not report.identity[top].ok
+    assert [r.table for r in report.identity if not r.ok] == [t]
     assert not report.all_hold
 
 
@@ -289,17 +316,20 @@ def _c2_objects(C):
     return c2
 
 
-def test_equal_table_objects_share_a_corrupted_lift(catalog):
+def test_equal_table_objects_share_a_corrupted_lift(catalog, monkeypatch, capsys):
     # S3's three C2 subgroups share one table, so every pair of them reads one homset
     C = subgroup_category(catalog["S3"])
     a, b, c = _c2_objects(C)
     t = C.table[a]
     image = C.homsets[(t, t)][0].image
     C.lifts[(t, t)][image] = (None,)  # a C2 has no basis hat: the true lift is ()
-    # (a) fails every object triple that reads Hom(t, t), whichever C2s it names
+    # (a) fails every table triple that reads Hom(t, t), and so every object triple on
+    # them, whichever C2s it names
     report = _check_against_reference(C)
     assert _failing(report) == _touching(C, t, t)
-    assert {(a, b, c), (b, c, a), (c, c, c)} <= _failing(report)
+    failing = {r[:3] for r in _object_rows(C, report) if not r[4]}
+    assert {(a, b, c), (b, c, a), (c, c, c)} <= failing
+    assert _cli_failing(monkeypatch, capsys, C) == (1, _touching(C, t, t))
 
 
 @pytest.mark.parametrize("spec", ["C3", "C5", "C9", "C15", "H3"])
@@ -311,21 +341,37 @@ def test_odd_order_ambients_are_faithful(spec):
     assert find_faithfulness_counterexample(subgroup_category(G)) == []
 
 
-def test_heisenberg_category_matches_the_closed_forms(catalog):
-    # the paper's example: subgroups of H<p> per order, and every homset size by the
-    # orders of its two objects, from closed forms in p
-    C = subgroup_category(catalog["H3"])
+def _check_heisenberg_closed_forms(C, p):
+    """The subgroups of H<p> per order, and every homset size by the orders of its two
+    objects, against the closed forms in p."""
     orders = [obj.order for obj in C.objects]
-    assert {n: orders.count(n) for n in set(orders)} == heisenberg_subgroup_counts(3)
-    assert len(orders) == 19
+    assert {n: orders.count(n) for n in set(orders)} == heisenberg_subgroup_counts(p)
     sizes = {
         (i, j): len(C.homsets[C.table[i], C.table[j]])
         for i, j in product(range(len(orders)), repeat=2)
     }
     assert sizes == {
-        (i, j): heisenberg_homset_size(3, orders[i], orders[j])
+        (i, j): heisenberg_homset_size(p, orders[i], orders[j])
         for i, j in product(range(len(orders)), repeat=2)
     }
+
+
+def test_heisenberg_category_matches_the_closed_forms(catalog):
+    # the paper's example at p = 3
+    C = subgroup_category(catalog["H3"])
+    _check_heisenberg_closed_forms(C, 3)
+    assert len(C.objects) == 19
+
+
+def test_heisenberg_category_at_p5_matches_the_closed_forms(monkeypatch):
+    # the paper's example at p = 5: H5 has order 125, above the CLI's subgroup limit
+    monkeypatch.setattr(groups, "SUBGROUP_ORDER_LIMIT", 125)
+    C = subgroup_category(group_from_name("H5"))
+    _check_heisenberg_closed_forms(C, 5)
+    orders = [obj.order for obj in C.objects]
+    assert {n: orders.count(n) for n in set(orders)} == {1: 1, 5: 31, 25: 6, 125: 1}
+    assert len(C.bases) == 8
+    assert sum(map(len, C.homsets.values())) == 52_920  # one homset per table pair
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])
@@ -339,8 +385,9 @@ def test_functor_is_full(catalog, spec):
 def test_fullness_covers_mixed_object_pairs(catalog):
     C = subgroup_category(catalog["S3"])
     report = check_full(C)
-    a3 = next(i for i, obj in enumerate(C.objects) if obj.order == 3)
-    top = next(i for i, obj in enumerate(C.objects) if obj.order == 6)
+    a3 = next(C.table[i] for i, obj in enumerate(C.objects) if obj.order == 3)
+    top = next(C.table[i] for i, obj in enumerate(C.objects) if obj.order == 6)
+    assert [(r.source, r.target) for r in report.pairs] == list(product(range(4), repeat=2))
     pair = next(r for r in report.pairs if (r.source, r.target) == (a3, top))
     assert pair.ok and pair.morphisms >= pair.distinct_images >= 1
 
@@ -359,15 +406,14 @@ def test_k4_witness_contains_identity_vs_trivial(catalog):
     k4_index = len(C.objects) - 1
     assert C.objects[k4_index].order == 4
     assert all(b.dimension == 0 for b in C.bases)
+    t = C.table[k4_index]
     found = [
         c
         for c in classes
-        if (c.source, c.target) == (k4_index, k4_index)
-        and {(0, 0, 0, 0), (0, 1, 2, 3)} <= set(c.images)
+        if (c.source, c.target) == (t, t) and {(0, 0, 0, 0), (0, 1, 2, 3)} <= set(c.images)
     ]
     assert len(found) == 1
     # every hom into or out of a zero hat span lifts to the zero map: one class per homset
-    t = C.table[k4_index]
     assert found[0].images == tuple(sorted(f.image for f in C.homsets[(t, t)]))
 
 
@@ -392,7 +438,21 @@ def test_witnesses_are_sorted(catalog):
 
 @pytest.mark.parametrize("spec", ["C2", "K4", "S3", "D4", "D6"])
 def test_classes_expand_to_the_equal_lift_pairs(spec):
-    # two members of one class are a pair the oracle finds, and every such pair is in a
+    # each class of a table pair is a class on every object pair on those tables; two
+    # members of one class are a pair the oracle finds, and every such pair is in a
     # class: a merged class adds pairs, a dropped member loses them
     G = group_from_name(spec)
-    assert _pairs(find_faithfulness_counterexample(subgroup_category(G))) == equal_lift_pairs(G)
+    C = subgroup_category(G)
+    classes = find_faithfulness_counterexample(C)
+    per_objects = [
+        functor.FaithfulnessClass(i, j, images)
+        for i, a in enumerate(C.table)
+        for j, b in enumerate(C.table)
+        for s, t, images in classes
+        if (s, t) == (a, b)
+    ]
+    assert _pairs(per_objects) == equal_lift_pairs(G)
+    n = C.sizes
+    assert len(equal_lift_pairs(G)) == sum(
+        n[a] * n[b] * len(c) * (len(c) - 1) // 2 for a, b, c in classes
+    )

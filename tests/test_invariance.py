@@ -30,9 +30,12 @@ def invariants(G: FiniteGroup) -> dict:
     """Label-free facts about ``G``, its subgroup category and its Plesken Lie algebra."""
     category = subgroup_category(G)
     orders = [obj.order for obj in category.objects]
-    table, homsets = category.table, category.homsets
+    table, homsets, n = category.table, category.homsets, category.sizes
     laws = check_functor_laws(category)
     classes = find_faithfulness_counterexample(category)
+    # the reports have a row per table pair or triple; which subgroups share a table
+    # depends on the labels, so each row is counted once per object pair it stands for
+    full = {(r.source, r.target): r for r in check_full(category).pairs}
     sc = structure_constants(canonical_basis(G))
     return {
         "objects_per_order": Counter(orders),
@@ -43,9 +46,9 @@ def invariants(G: FiniteGroup) -> dict:
         ),
         "all_hold": laws.all_hold,
         "composition_pairs": sum(r.pairs for r in laws.composition),
-        "witness_pairs": sum(len(c.images) * (len(c.images) - 1) // 2 for c in classes),
+        "witness_pairs": sum(n[a] * n[b] * len(c) * (len(c) - 1) // 2 for a, b, c in classes),
         "morphisms_and_hat_maps": Counter(
-            (r.morphisms, r.distinct_images) for r in check_full(category).pairs
+            (full[a, b].morphisms, full[a, b].distinct_images) for a in table for b in table
         ),
         "nonzero_structure_constants": sum(map(len, sc.values())),
     }

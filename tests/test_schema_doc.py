@@ -1,0 +1,61 @@
+"""docs/schema.md names the current schema and shows the records the CLI writes."""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from plesken_lab.cli import SCHEMA_VERSION, main
+
+SCHEMA = (Path(__file__).resolve().parents[1] / "docs" / "schema.md").read_text()
+
+
+def json_blocks(text: str) -> list:
+    return [json.loads(block) for block in re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)]
+
+
+def section(heading: str) -> str:
+    """The text under ``heading`` up to the next heading."""
+    rest = SCHEMA[SCHEMA.index(heading + "\n") + len(heading) :]
+    end = re.search(r"^#+ ", rest, re.M)
+    return rest[: end.start() if end else len(rest)]
+
+
+def payload(*argv: str) -> dict:
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0, argv
+    return json.loads(out.getvalue())["payload"]
+
+
+def test_envelope_example_names_the_schema_version():
+    (envelope,) = json_blocks(section("## Report envelope"))
+    assert envelope["schema_version"] == SCHEMA_VERSION
+
+
+def test_functor_examples_carry_the_keys_the_cli_writes():
+    payloads = {
+        action: payload("functor", action, "--ambient", "S3")
+        for action in ("check", "full", "counterexample")
+    }
+    written = {}  # each record list of a real report: the keys of its records
+    for p in payloads.values():
+        for key, value in p.items():
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                assert all(set(r) == set(value[0]) for r in value), key
+                written[key] = set(value[0])
+    shown = {}  # each record list of the examples: the keys of its example record
+    examples = json_blocks(section("### `functor <check|counterexample|full> --ambient <spec>`"))
+    for example in examples:
+        for key, value in example.items():
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                shown[key] = set(value[0])
+    assert shown == written
+    # the example of each action shows its payload's keys, less the two all three carry
+    shared = {"ambient", "objects"}
+    shown_payloads = [set(example) for example in examples if set(example) - shared]
+    assert sorted(map(sorted, shown_payloads)) == sorted(
+        sorted(set(p) - shared) for p in payloads.values()
+    )
