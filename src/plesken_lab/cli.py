@@ -13,7 +13,6 @@ import sys
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder exports
 from functools import cache
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .errors import InvalidSpec, ParseError, SearchTooLarge
 from .groups import GroupSpec, build_group, enumerate_homs
@@ -100,12 +99,13 @@ def _run_plesken(args) -> tuple[dict, int]:
 def _run_homs(args) -> tuple[dict, int]:
     dom_spec = GroupSpec.parse(args.domain)
     cod_spec = GroupSpec.parse(args.codomain)
-    homs = enumerate_homs(build_group(dom_spec), build_group(cod_spec))
+    domain = build_group(dom_spec)
+    homs = enumerate_homs(domain, domain if cod_spec == dom_spec else build_group(cod_spec))
     payload = {
         "domain": str(dom_spec),
         "codomain": str(cod_spec),
         "count": len(homs),
-        "homs": _Rows(("image",), ((list(f.image),) for f in homs)),
+        "homs": [{"image": list(f.image)} for f in homs],
     }
     return payload, EXIT_OK
 
@@ -131,8 +131,6 @@ def _object_map_check(G) -> dict[str, bool]:
 
 def _run_functor(args) -> tuple[dict, int]:
     from .functor import (
-        CompositionLawResult,
-        FullnessPairResult,
         check_full,
         check_functor_laws,
         find_faithfulness_counterexample,
@@ -143,32 +141,32 @@ def _run_functor(args) -> tuple[dict, int]:
     ambient = build_group(spec)
     category = subgroup_category(ambient)
     table = category.table  # every other record names tables, for all the objects on them
-    objects = _Rows(
-        ("index", "order", "elements", "table"),
-        ((i, obj.order, list(obj.labels), table[i]) for i, obj in enumerate(category.objects)),
-    )
+    objects = [
+        {"index": i, "order": obj.order, "elements": list(obj.labels), "table": table[i]}
+        for i, obj in enumerate(category.objects)
+    ]
     payload: dict = {"ambient": str(spec), "objects": objects}
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)
-        payload["identity_law"] = _Rows(("table", "ok"), report.identity)
-        payload["composition_law"] = _Rows(CompositionLawResult._fields, report.composition)
+        payload["identity_law"] = [r._asdict() for r in report.identity]
+        payload["composition_law"] = [r._asdict() for r in report.composition]
         payload["object_map"] = object_check = _object_map_check(ambient)
         payload["all_hold"] = report.all_hold
         if not (report.all_hold and all(object_check.values())):
             code = EXIT_LAW_VIOLATION
     elif args.action == "full":
         report = check_full(category)
-        payload["pairs"] = _Rows(FullnessPairResult._fields, report.pairs)
+        payload["pairs"] = [r._asdict() for r in report.pairs]
         payload["all_full"] = report.all_full
         if not report.all_full:
             code = EXIT_LAW_VIOLATION
     else:
         classes = find_faithfulness_counterexample(category)
-        payload["classes"] = _Rows(
-            ("source", "target", "images"),
-            ((a, b, list(map(list, images))) for a, b, images in classes),
-        )
+        payload["classes"] = [
+            {"source": a, "target": b, "images": list(map(list, images))}
+            for a, b, images in classes
+        ]
         n = category.sizes  # a class of m on tables (a, b): m(m-1)/2 pairs per object pair
         payload["count"] = sum(n[a] * n[b] * len(c) * (len(c) - 1) // 2 for a, b, c in classes)
     return payload, code
@@ -181,18 +179,6 @@ _DISPATCH = {
     "homs": _run_homs,
     "functor": _run_functor,
 }
-
-
-class _Rows(list):
-    """Records given as tuples of values under one tuple of field names.
-
-    Every record list in a payload is one.  ``_json_text`` writes it exactly
-    as the list of ``dict(zip(fields, row))``, without building those dicts.
-    """
-
-    def __init__(self, fields: tuple[str, ...], rows) -> None:
-        super().__init__(rows)
-        self.fields = fields
 
 
 class _Constants(dict):
@@ -224,12 +210,11 @@ def _json_text(value, newline: str = "\n") -> list[str]:
     The pieces join to exactly ``json.dumps(value, indent=2, sort_keys=True)``,
     except that each dict that is an item of a list is on one line, exactly
     ``json.dumps(item, sort_keys=True)``; ``newline=""`` writes all of
-    ``value`` that way.  A ``_Rows`` value is written as its list of dicts,
-    each record through one ``%`` template (``_records_text``), and a
-    ``_Constants`` value as its records (``_Constants.text``).  A list is
-    joined into one piece; a dict passes its values' pieces on uncopied.
+    ``value`` that way.  A ``_Constants`` value is written as its records
+    (``_Constants.text``).  A list is joined into one piece; a dict passes
+    its values' pieces on uncopied.
 
-    Only ``dict`` with ``str`` keys, ``list``, ``_Rows``, ``_Constants``,
+    Only ``dict`` with ``str`` keys, ``list``, ``_Constants``,
     ``str``, ``int``, ``bool`` and ``None`` are written; any other type,
     ``float`` and ``tuple`` included, raises ``TypeError`` (for a key, from
     ``encode_basestring_ascii``).
@@ -241,7 +226,7 @@ def _json_text(value, newline: str = "\n") -> list[str]:
         return [int.__repr__(value)]
     if value is None or kind is bool:
         return ["null" if value is None else "true" if value else "false"]
-    if kind not in (dict, list, _Rows, _Constants):
+    if kind not in (dict, list, _Constants):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
     if not value:
         return ["{}" if kind is dict else "[]"]
@@ -258,41 +243,11 @@ def _json_text(value, newline: str = "\n") -> list[str]:
         return pieces
     if kind is _Constants:
         items = [value.text(comma)]
-    elif kind is _Rows:
-        items = _records_text(value)
     elif set(map(type, value)) == {int}:
         items = map(int.__repr__, value)
     else:
         items = ("".join(_json_text(v, "" if type(v) is dict else inner)) for v in value)
     return ["[" + inner, comma.join(items), newline + "]"]
-
-
-def _records_text(rows: _Rows) -> list[str]:
-    """Each record of ``rows``, a tuple under ``rows.fields``, as one line of JSON.
-
-    Each record fills one ``%`` template, so the per-record work runs in C.
-    Each field's values are streamed, never stored as a column, and written
-    by their exact types: an int column through ``%d``, and any other column
-    (strings, bools, lists, mixed types, nesting) through ``_json_text``,
-    which refuses every type outside the schema.
-    """
-    getters = {k: itemgetter(p) for p, k in enumerate(rows.fields)}
-    if not getters:
-        return ["{}"] * len(rows)
-    slots = []
-    texts = []
-    for k in sorted(getters):
-        get = getters[k]
-        types = set(map(type, map(get, rows)))
-        slot = "%s"
-        if types == {int}:
-            slot = "%d"
-            texts.append(map(get, rows))
-        else:
-            texts.append(map("".join, map(_json_text, map(get, rows), repeat(""))))
-        slots.append(_quote(k).replace("%", "%%") + ": " + slot)
-    template = "{" + ", ".join(slots) + "}"
-    return list(map(template.__mod__, zip(*texts)))
 
 
 def main(argv=None) -> int:

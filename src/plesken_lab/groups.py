@@ -202,6 +202,11 @@ class FiniteGroup:
     permutation of ``0..n-1``; ``_validate_table`` checks the rest and stores
     the greedy ``generators``.  Immutable after.  Subgroups carry ``ambient``
     and an ``embedding``, an injective hom back into the parent group.
+
+    A group is its Cayley table: two groups with one table are equal and hash
+    alike.  ``labels``, ``spec``, ``ambient`` and ``embedding`` describe a
+    group but do not identify it, so K4's three subgroups of order 2 are one
+    group, and their elements mix without ``GroupMismatch``.
     """
 
     __slots__ = (

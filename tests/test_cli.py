@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import plesken_lab.cli as cli
 import plesken_lab.functor as functor
 import plesken_lab.groups as groups
 import plesken_lab.plesken as plesken
@@ -24,7 +25,7 @@ from plesken_lab import (
     canonical_basis, element_to_json, group_from_name, lie_bracket, parse_element,
     structure_constants, subgroup_category,
 )
-from plesken_lab.cli import _json_text, _Rows, main
+from plesken_lab.cli import _json_text, main
 from conftest import CATALOG_SPECS, CHILD_ENV
 from oracles import report_layout
 from test_acceptance import ACCEPTANCE_COMMANDS
@@ -138,6 +139,24 @@ def test_homs_command(capsys):
     assert report["payload"]["count"] == 3
     images = [h["image"] for h in report["payload"]["homs"]]
     assert images == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
+
+
+@pytest.mark.parametrize("domain,codomain,builds", [
+    ("S5", "S5", 1), ("s5", "S5", 1), ("S4", "S5", 2), ("C3", "C3", 1),
+])
+def test_homs_builds_a_group_named_twice_once(capsys, monkeypatch, domain, codomain, builds):
+    specs = []
+
+    def counting(spec):
+        specs.append(spec)
+        return groups.build_group(spec)
+
+    monkeypatch.setattr(cli, "build_group", counting)
+    code, report = run_json(capsys, "homs", domain, codomain)
+    assert code == 0
+    assert len(specs) == builds
+    expected = groups.enumerate_homs(group_from_name(domain), group_from_name(codomain))
+    assert [h["image"] for h in report["payload"]["homs"]] == [list(f.image) for f in expected]
 
 
 def test_functor_check_s3(capsys):
@@ -547,11 +566,7 @@ _keys = st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", 
 
 
 def _records(children):
-    """Lists of dicts with one shared key set, which the writer takes as plain lists.
-
-    Record lists in payloads are ``_Rows``; a list of dicts must still come out
-    exactly as ``report_layout`` writes it.
-    """
+    """Lists of dicts with one shared key set, the shape of every record list in a payload."""
     column = children | st.integers(0, 2) | st.booleans() | st.lists(st.integers(0, 3))
     return st.lists(_keys, max_size=4, unique=True).flatmap(
         lambda keys: st.lists(
@@ -584,42 +599,13 @@ _json_values = st.recursive(
 @example([{"%s": 1}, {"%s": True}])
 @example([{"k": [1]}, {"k": [True]}])
 @example([{"k": [[1]], "l": {"m": [2]}}, {"k": [[1]], "l": {"m": [2]}}])
+# the record shapes of the reports: a hom, a composition row, an object and a class
+@example({"homs": [{"image": [0, 2, 1]}, {"image": [0, 1, 2]}]})
+@example([{"middle": 1, "ok": True, "pairs": 12, "source": 0, "target": 2, "triples": 4}])
+@example([{"elements": ["e", "(12)"], "index": 1, "order": 2, "table": 1}])
+@example([{"images": [[0, 1, 2], [0, 2, 1]], "source": 1, "target": 1}])
 def test_json_text_matches_json_dumps(value):
     assert _written(value) == report_layout(value)
-
-
-# one column each: the writer takes its fast path when a column has one kind of value
-_row_columns = st.sampled_from([
-    st.integers(),
-    st.text() | _odd_strings,
-    st.booleans(),
-    st.none(),
-    st.lists(st.integers(0, 3)),
-    st.dictionaries(_keys, st.integers() | st.lists(st.integers(0, 3)), max_size=2),
-    st.integers(0, 2) | st.booleans() | st.none() | st.text() | st.lists(st.booleans()),
-])
-
-
-@st.composite
-def _rows(draw):
-    """A ``_Rows`` value and the list of dicts it stands for."""
-    fields = tuple(draw(st.lists(_keys, max_size=4, unique=True)))
-    columns = [draw(_row_columns) for _ in fields]
-    rows = draw(st.lists(st.tuples(*columns), max_size=6))
-    return _Rows(fields, rows), [dict(zip(fields, row)) for row in rows]
-
-
-@given(_rows())
-@example((_Rows(("k", "%s"), [(1, [0, 1]), (2, [0, 1]), (3, [])]),
-          [{"k": 1, "%s": [0, 1]}, {"k": 2, "%s": [0, 1]}, {"k": 3, "%s": []}]))
-@example((_Rows((), [(), ()]), [{}, {}]))
-@example((_Rows(("k",), [(1,), (True,)]), [{"k": 1}, {"k": True}]))
-@example((_Rows(("k",), [([1],), ([True],)]), [{"k": [1]}, {"k": [True]}]))
-def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
-    rows, dicts = rows_and_dicts
-    assert len(rows) == len(dicts)
-    for wrap in (lambda v: v, lambda v: {"payload": v, "count": 1}, lambda v: [v, [v]]):
-        assert _written(wrap(rows)) == report_layout(wrap(dicts))
 
 
 @pytest.mark.parametrize("value", [
@@ -639,13 +625,13 @@ def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
     [{"k": {"a": 1}}, {"k": {"a": 0.5}}],
     [{"k": 0}, {"k": (1,)}],
     [{1: "a"}, {1: "b"}],
-    _Rows(("k",), [(1,), (1.5,)]),
-    _Rows(("k",), [((0, 1),), ((0, 1.0),)]),
-    _Rows(("k",), [((0, True),)]),
-    _Rows(("k",), [((0, 1),), (2,)]),
-    _Rows(("k", "l"), [(0, {"a": [0.5]})]),
-    _Rows(("k",), [({"a": (1,)},)]),
-    {"payload": _Rows(("k",), [([1.0],)])},
+    [{"k": 1}, {"k": 1.5}],
+    [{"k": (0, 1)}, {"k": (0, 1.0)}],
+    [{"k": (0, True)}],
+    [{"k": (0, 1)}, {"k": 2}],
+    [{"k": 0, "l": {"a": [0.5]}}],
+    [{"k": {"a": (1,)}}],
+    {"payload": [{"k": [1.0]}]},
     # a dict item of a list, written on one line
     [[{"k": 0.5}]],
     {"terms": [{"re": (1,)}]},
@@ -653,15 +639,15 @@ def test_json_text_writes_rows_as_their_dicts(rows_and_dicts):
     [{"k": [1, (2,)]}],
     [{"k": {1, 2}}],
     [{"k": {1: "a"}}],
-    _Rows(("k",), [({"a": [1, 2.5]},)]),
-    _Rows(("k",), [([{"a": (1,)}],)]),
+    [{"k": {"a": [1, 2.5]}}],
+    [{"k": [{"a": (1,)}]}],
     # a tuple in a record, or a float in a list that several records share
-    _Rows(("k", "%s"), [(1, (0, 1)), (2, (0, 1)), (3, ())]),
-    _Rows(("k",), [([1],), ((1,),)]),
-    _Rows(("k",), [((0, 1),), ([True],), ([True],), ((0, 1),)]),
-    _Rows(("k",), [([0, 1],), ((1, 2.0),), ((1, 2.0),)]),
-    _Rows(("k",), [([0, 1],), ([[1.5]],), ([[1.5]],)]),
-    _Rows(("k",), [([0, 1],), ((True,),), ((True,),)]),
+    [{"k": 1, "%s": (0, 1)}, {"k": 2, "%s": (0, 1)}, {"k": 3, "%s": ()}],
+    [{"k": [1]}, {"k": (1,)}],
+    [{"k": (0, 1)}, {"k": [True]}, {"k": [True]}, {"k": (0, 1)}],
+    [{"k": [0, 1]}, {"k": (1, 2.0)}, {"k": (1, 2.0)}],
+    [{"k": [0, 1]}, {"k": [[1.5]]}, {"k": [[1.5]]}],
+    [{"k": [0, 1]}, {"k": (True,)}, {"k": (True,)}],
 ])
 def test_json_text_refuses_types_outside_the_schema(value):
     with pytest.raises(TypeError):

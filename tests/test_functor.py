@@ -16,6 +16,7 @@ from plesken_lab import (
     check_functor_laws,
     compose_homs,
     enumerate_homs,
+    enumerate_subgroups,
     find_faithfulness_counterexample,
     group_from_name,
     identity_hom,
@@ -372,6 +373,24 @@ def test_heisenberg_category_at_p5_matches_the_closed_forms(monkeypatch):
     assert {n: orders.count(n) for n in set(orders)} == {1: 1, 5: 31, 25: 6, 125: 1}
     assert len(C.bases) == 8
     assert sum(map(len, C.homsets.values())) == 52_920  # one homset per table pair
+
+
+def test_heisenberg_closed_forms_at_p7(monkeypatch):
+    # the paper's example at p = 7, without H7 itself as a source or target: Hom(H7, .)
+    # adds about 1.9 s, and Hom(C7^2, H7) alone holds 18,865 homs
+    monkeypatch.setattr(groups, "SUBGROUP_ORDER_LIMIT", 343)
+    subgroups = enumerate_subgroups(group_from_name("H7"))
+    orders = [S.order for S in subgroups]
+    assert {n: orders.count(n) for n in set(orders)} == heisenberg_subgroup_counts(7) == {
+        1: 1, 7: 57, 49: 8, 343: 1
+    }
+    tables = list({S.cayley: S for S in subgroups}.values())  # one subgroup per table
+    table_orders = [S.order for S in tables]
+    assert {n: table_orders.count(n) for n in set(table_orders)} == {1: 1, 7: 1, 49: 7, 343: 1}
+    proper = [S for S in tables if S.order < 343]
+    assert len(proper) == 9
+    for A, B in product(proper, repeat=2):
+        assert len(enumerate_homs(A, B)) == heisenberg_homset_size(7, A.order, B.order)
 
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "C6"])

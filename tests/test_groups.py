@@ -10,6 +10,7 @@ import pytest
 
 import plesken_lab.groups as groups
 from plesken_lab import (
+    AlgebraElement,
     BarLift,
     DomainMismatch,
     FiniteGroup,
@@ -677,6 +678,18 @@ def test_value_classes_are_immutable_and_compare_by_fields(catalog):
     assert lift_hom_hat(ident) == lift_hom_hat(triv) == ()
     C3 = catalog["C3"]
     assert lift_hom_hat(identity_hom(C3)) == ((0, 1),) != lift_hom_hat(trivial_hom(C3, C3))
+
+
+def test_a_group_is_its_cayley_table(catalog):
+    # K4's three subgroups of order 2 are one group: labels and embeddings describe a
+    # group but do not identify it, so elements of two of them add without GroupMismatch
+    K4 = catalog["K4"]
+    a, b, c = (S for S in enumerate_subgroups(K4) if S.order == 2)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert [S.embedding for S in (a, b, c)] == [(0, 1), (0, 2), (0, 3)]
+    assert [S.labels for S in (a, b, c)] == [("e", "a"), ("e", "b"), ("e", "c")]
+    total = AlgebraElement(a, {1: 1}) + AlgebraElement(b, {1: 1})
+    assert total.coeffs == {1: Scalar.of(2)}
 
 
 def test_import_loads_no_numpy():

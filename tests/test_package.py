@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import json
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +176,37 @@ def test_each_verb_loads_only_its_modules(argv, unused):
     assert "plesken_lab.cli" in loaded
     assert set(unused).isdisjoint(loaded), sorted(set(unused) & loaded)
 
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module-level import binds that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    assert _unread_imports("from __future__ import annotations\nimport a.b\nimport c as d") == [
+        "a", "d"
+    ]
+    assert _unread_imports("from x import y, z as w\ndef f():\n    import q\n    return w") == [
+        "y"
+    ]
+    assert _unread_imports("import a.b\nfrom x import y\na.b.c(y)") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(plesken_lab.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_module_level_import_is_read(path):
+    # each command pays for every import of each module it loads
+    assert _unread_imports(path.read_text()) == []
