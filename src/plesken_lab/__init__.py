@@ -12,14 +12,11 @@ _MODULE_NAMES = {
         "AlgebraElement",
         "BarLift",
         "Scalar",
-        "add",
         "convolve",
-        "element_from_json",
         "element_to_json",
         "lie_bracket",
         "lift_hom_bar",
         "parse_element",
-        "scale",
     ),
     "errors": (
         "DomainMismatch",

@@ -9,25 +9,22 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter, index
+from itertools import chain
+from operator import attrgetter
 
-from .errors import GroupMismatch, IndexOutOfRange, ParseError
-from .groups import FiniteGroup, GroupHom, GroupSpec, _Frozen, _set, build_group
+from .errors import GroupMismatch, ParseError
+from .groups import FiniteGroup, GroupHom, _Frozen, _set
 
 
 class Scalar(_Frozen):
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number re + im*i: each part an int or a Fraction, stored as a Fraction."""
 
     __slots__ = ("re", "im")
     _key = attrgetter(*__slots__)
 
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
-        _set(self, "re", re)
-        _set(self, "im", im)
-
-    @staticmethod
-    def of(re=0, im=0) -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im))
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
+        _set(self, "re", re if re.__class__ is Fraction else _part(re))
+        _set(self, "im", im if im.__class__ is Fraction else _part(im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -93,17 +90,23 @@ class Scalar(_Frozen):
         return "".join(parts)
 
 
+def _part(value) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"scalar part {value!r} is not an int or Fraction")
+
+
 def _coerce(value) -> Scalar | None:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(Fraction(value))
+        return Scalar(value)
     return None
 
 
 ZERO = Scalar()
-ONE = Scalar.of(1)
-I = Scalar.of(0, 1)
+ONE = Scalar(1)
+I = Scalar(0, 1)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -116,31 +119,30 @@ def parse_fraction(text: str) -> Fraction:
 class AlgebraElement:
     """Sparse element of a group algebra: ``coeffs`` maps group indices to Scalars.
 
-    Stored coefficients are never zero, so equality of elements is equality
-    of their groups and coefficient maps.
+    Built from a mapping or an iterable of (index, coefficient) pairs, as
+    ``dict`` is; every operation builds its result from such terms.  Each index
+    is read by ``group._check_index`` and each coefficient must be a Scalar, int
+    or Fraction.  The coefficients of a repeated index are added up and zero
+    sums dropped, so stored coefficients are never zero, and equality of
+    elements is equality of their groups and coefficient maps.
     """
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: FiniteGroup, coeffs=None) -> None:
-        size = group.order
-        clean: dict[int, Scalar] = {}
-        for k, c in (coeffs or {}).items():
-            try:
-                k = index(k)
-            except TypeError:
-                raise IndexOutOfRange(f"element index {k!r} is not an integer") from None
-            if not 0 <= k < size:
-                raise IndexOutOfRange(f"element index {k} outside group of order {size}")
+    def __init__(self, group: FiniteGroup, coeffs=()) -> None:
+        read = group._check_index
+        acc: dict[int, Scalar] = {}
+        for k, c in coeffs.items() if hasattr(coeffs, "keys") else coeffs:
+            k = read(k)
             value = c if c.__class__ is Scalar else _coerce(c)
             if value is None:
                 raise TypeError(
                     f"coefficient {c!r} at element index {k} is not a Scalar, int, or Fraction"
                 )
-            if value:
-                clean[k] = value
+            prev = acc.get(k)
+            acc[k] = value if prev is None else prev + value
         self.group = group
-        self.coeffs = clean
+        self.coeffs = {k: c for k, c in acc.items() if c}
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "AlgebraElement":
@@ -174,19 +176,12 @@ class AlgebraElement:
         if other.__class__ is not self.__class__:
             return NotImplemented
         self._require_same_group(other)
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, ZERO) + c
-        return AlgebraElement(self.group, acc)
+        return AlgebraElement(self.group, chain(self.coeffs.items(), other.coeffs.items()))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        self._require_same_group(other)
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, ZERO) - c
-        return AlgebraElement(self.group, acc)
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.group, {k: -c for k, c in self.coeffs.items()})
@@ -220,30 +215,13 @@ class AlgebraElement:
         return f"AlgebraElement({self})"
 
 
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def scale(k, x: AlgebraElement) -> AlgebraElement:
-    product = x.__rmul__(k)
-    if product is NotImplemented:
-        raise TypeError("scale expects a Scalar, int, or Fraction")
-    return product
-
-
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The group-algebra product: full bilinear expansion through the Cayley table."""
     x._require_same_group(y)
-    table = x.group.cayley
-    acc: dict[int, Scalar] = {}
-    for i, ci in x.coeffs.items():
-        row = table[i]
-        for j, cj in y.coeffs.items():
-            k = row[j]
-            c = ci * cj
-            prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
-    return AlgebraElement(x.group, acc)
+    table, ys = x.group.cayley, y.coeffs.items()
+    return AlgebraElement(
+        x.group, ((table[i][j], ci * cj) for i, ci in x.coeffs.items() for j, cj in ys)
+    )
 
 
 def lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -268,11 +246,7 @@ class BarLift(_Frozen):
         if x.group != self.hom.domain:
             raise GroupMismatch("element does not live in the lift's domain")
         img = self.hom.image
-        acc: dict[int, Scalar] = {}
-        for g, c in x.coeffs.items():
-            h = img[g]
-            acc[h] = acc.get(h, ZERO) + c
-        return AlgebraElement(self.hom.codomain, acc)
+        return AlgebraElement(self.hom.codomain, ((img[g], c) for g, c in x.coeffs.items()))
 
 
 def lift_hom_bar(f: GroupHom) -> BarLift:
@@ -333,14 +307,12 @@ def _parse_coefficient(text: str) -> Scalar:
     if m is None or (m.group("rat") is None and m.group("imag") is None):
         raise ParseError(f"cannot parse coefficient {text!r}")
     q = parse_fraction(m.group("rat")) if m.group("rat") is not None else Fraction(1)
-    if m.group("imag"):
-        return Scalar(Fraction(0), q)
-    return Scalar(q)
+    return Scalar(0, q) if m.group("imag") else Scalar(q)
 
 
 def parse_element(group: FiniteGroup, text: str) -> AlgebraElement:
     """Parse expressions like ``2*e + (1/2)*a - i*a^2`` against the group's labels."""
-    acc: dict[int, Scalar] = {}
+    terms = []
     for sign, coeff_text, label in _split_terms(text):
         coeff = ONE if coeff_text is None else _parse_coefficient(coeff_text)
         if not label:
@@ -348,9 +320,8 @@ def parse_element(group: FiniteGroup, text: str) -> AlgebraElement:
         g = group.label_index.get(label)
         if g is None:
             raise ParseError(f"unknown element label {label!r}")
-        c = coeff if sign > 0 else -coeff
-        acc[g] = acc.get(g, ZERO) + c
-    return AlgebraElement(group, acc)
+        terms.append((g, coeff if sign > 0 else -coeff))
+    return AlgebraElement(group, terms)
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -365,14 +336,3 @@ def element_to_json(x: AlgebraElement) -> dict:
         ],
     }
 
-
-def element_from_json(payload: dict) -> AlgebraElement:
-    group = build_group(GroupSpec.parse(payload["group"]))
-    acc: dict[int, Scalar] = {}
-    for term in payload["terms"]:
-        g = group.label_index.get(term["elem"])
-        if g is None:
-            raise ParseError(f"unknown element label {term['elem']!r}")
-        c = Scalar(parse_fraction(term["re"]), parse_fraction(term.get("im", "0")))
-        acc[g] = acc.get(g, ZERO) + c
-    return AlgebraElement(group, acc)

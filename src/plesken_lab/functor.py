@@ -27,23 +27,19 @@ def object_map(
 
     ``literal`` sums (a_g - a_{g^{-1}})(g - g^{-1}) over every group element,
     so each non-involution pair contributes twice; ``pairwise`` sums over
-    canonical representatives only and differs by that factor of two.  Each
-    pair {g, g^{-1}} is visited once, from its smaller index.
+    canonical representatives only and differs by that factor of two.  Both
+    are k times the sum of a_g (g - g^{-1}) over the support of x, whose terms
+    on an involution cancel.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     # imported here: no other name of this module needs group-algebra elements, so
     # `functor full` and `functor counterexample` never load `algebra`
-    from .algebra import AlgebraElement, ZERO
+    from .algebra import AlgebraElement
 
     G, k = x.group, 2 if convention == "literal" else 1
-    acc: dict[int, plesken_lab.Scalar] = {}
-    for g in {min(g, G.inv[g]) for g in x.coeffs}:
-        gi = G.inv[g]
-        c = x.coeffs.get(g, ZERO) - x.coeffs.get(gi, ZERO)
-        if gi != g and c:
-            acc[g], acc[gi] = k * c, -k * c
-    return AlgebraElement(G, acc)
+    terms = (t for g, c in x.coeffs.items() for t in ((g, k * c), (G.inv[g], -k * c)))
+    return AlgebraElement(G, terms)
 
 
 def morphism_map(fbar: plesken_lab.BarLift) -> HatMap:

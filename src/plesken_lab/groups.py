@@ -151,11 +151,12 @@ def _validate_table(G: FiniteGroup) -> None:
     rows, n = G.cayley, G.order
     ident = tuple(range(n))
     units = (x for x in ident if rows[x] == ident and tuple(row[x] for row in rows) == ident)
-    e = G.identity = next(units, None)
+    e = next(units, None)
     if e is None:
         raise ValueError("table does not have exactly one two-sided identity")
-    G.inv = tuple(row.index(e) for row in rows)
-    G.generators = tuple(generating_set(G))
+    _set(G, "identity", e)
+    _set(G, "inv", tuple(row.index(e) for row in rows))
+    _set(G, "generators", tuple(generating_set(G)))
     for g in G.generators:
         row_g = rows[g]
         times_row_g = itemgetter(*row_g)  # row_x -> the row of x*(g*y) over y
@@ -195,13 +196,14 @@ def _read_embedding(G: FiniteGroup, embedding, ambient: "FiniteGroup | None") ->
     return entries
 
 
-class FiniteGroup:
+class FiniteGroup(_Frozen):
     """A finite group on indices ``0..order-1`` with precomputed tables.
 
     Built from any iterable of rows, each read once and checked to be a
     permutation of ``0..n-1``; ``_validate_table`` checks the rest and stores
-    the greedy ``generators``.  Immutable after.  Subgroups carry ``ambient``
-    and an ``embedding``, an injective hom back into the parent group.
+    the greedy ``generators``.  Immutable after, as every ``_Frozen`` value is.
+    Subgroups carry ``ambient`` and an ``embedding``, an injective hom back
+    into the parent group.
 
     A group is its Cayley table: two groups with one table are equal and hash
     alike.  ``labels``, ``spec``, ``ambient`` and ``embedding`` describe a
@@ -250,19 +252,23 @@ class FiniteGroup:
             table.append(row)
         if len(table) != n:
             raise ValueError("Cayley table must be square")
-        self.order = n
-        self.cayley = tuple(table)
+        _set(self, "order", n)
+        _set(self, "cayley", tuple(table))
         _validate_table(self)
-        self.labels = tuple(map(str, range(n) if labels is None else labels))
-        if len(self.labels) != self.order:
+        labels = tuple(map(str, range(n) if labels is None else labels))
+        if len(labels) != n:
             raise ValueError("labels length does not match group order")
-        self.label_index = {}
-        for i, lab in enumerate(self.labels):
-            if (j := self.label_index.setdefault(lab, i)) != i:
+        label_index = {}
+        for i, lab in enumerate(labels):
+            if (j := label_index.setdefault(lab, i)) != i:
                 raise ValueError(f"label {lab!r} is at positions {j} and {i}")
-        self.spec = spec
-        self.ambient = ambient
-        self.embedding = None if embedding is None else _read_embedding(self, embedding, ambient)
+        _set(self, "labels", labels)
+        _set(self, "label_index", label_index)
+        _set(self, "spec", spec)
+        _set(self, "ambient", ambient)
+        if embedding is not None:
+            embedding = _read_embedding(self, embedding, ambient)
+        _set(self, "embedding", embedding)
 
     def mul(self, x: int, y: int) -> int:
         return self.cayley[self._check_index(x)][self._check_index(y)]
@@ -490,7 +496,7 @@ class GroupHom(_Frozen):
             raise InvalidHom("image table is not a group homomorphism")
 
     def __call__(self, x: int) -> int:
-        return self.image[x]
+        return self.image[self.domain._check_index(x)]
 
 
 def _built_hom(domain: FiniteGroup, codomain: FiniteGroup, image: tuple[int, ...]) -> GroupHom:

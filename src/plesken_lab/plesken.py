@@ -23,8 +23,7 @@ def hat(G: FiniteGroup, g: int):
     from .algebra import AlgebraElement, ONE
 
     g = G._check_index(g)
-    gi = G.inv[g]
-    return AlgebraElement(G, {g: ONE, gi: -ONE} if g != gi else {})
+    return AlgebraElement(G, ((g, ONE), (G.inv[g], -ONE)))  # an involution's terms cancel
 
 
 class PleskenBasis(_Frozen):
@@ -50,7 +49,7 @@ class PleskenBasis(_Frozen):
 
     def position(self, g: int) -> tuple[int, int] | None:
         """(basis position, sign) for a non-involution g, else None."""
-        return self._positions.get(g)
+        return self._positions.get(self.group._check_index(g))
 
     def __repr__(self) -> str:
         return f"PleskenBasis({self.group!r}, dim={self.dimension})"

@@ -380,7 +380,7 @@ def random_scalar(rng: Random):
     """A ``Scalar`` drawn from ``RANDOM_COEFFS``."""
     from plesken_lab import Scalar  # the oracles above never import the library
 
-    return Scalar.of(*rng.choice(RANDOM_COEFFS))
+    return Scalar(*rng.choice(RANDOM_COEFFS))
 
 
 def bracket_expansion_check(G, g: int, h: int) -> bool:

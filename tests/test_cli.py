@@ -652,10 +652,3 @@ def test_json_text_matches_json_dumps(value):
 def test_json_text_refuses_types_outside_the_schema(value):
     with pytest.raises(TypeError):
         _written(value)
-
-
-def test_int_list_column_writes_shared_bools_as_bools():
-    bools = [True]
-    records = [{"k": [0, 1]}, {"k": bools}, {"k": bools}]
-    assert _written(records) == report_layout(records)
-

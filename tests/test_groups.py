@@ -232,6 +232,20 @@ def test_mul_and_inverse_bounds(catalog):
             call()
 
 
+def test_hom_call_reads_its_index_as_mul_does(catalog):
+    C3, K4 = catalog["C3"], catalog["K4"]
+    f = GroupHom(K4, C3, (0, 0, 0, 0))
+    assert identity_hom(C3)(2) == 2 and f(3) == 0 and identity_hom(C3)(True) == 1
+    for hom, key, message in (
+        (identity_hom(C3), -1, "element index -1 outside group of order 3"),
+        (identity_hom(C3), 3, "element index 3 outside group of order 3"),
+        (f, 4, "element index 4 outside group of order 4"),
+        (f, 1.5, "element index 1.5 is not an integer"),
+    ):
+        with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+            hom(key)
+
+
 def test_validate_hom(catalog):
     C3, K4 = catalog["C3"], catalog["K4"]
     assert validate_hom(identity_hom(C3))
@@ -660,18 +674,24 @@ def test_value_classes_are_immutable_and_compare_by_fields(catalog):
         Scalar(): "re",
         BarLift(ident): "hom",
         canonical_basis(K4): "reps",
+        K4: "order",  # GroupHom's hash reads its groups' hashes
     }
     for value, field in values.items():
-        with pytest.raises(AttributeError):
+        before = hash(value)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {field!r}$"):
             setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field {field!r}$"):
+            delattr(value, field)
         with pytest.raises(AttributeError):
             value.extra = None
+        assert hash(value) == before
+    assert K4.order == 4 and repr(K4) == "FiniteGroup(K4)"
     assert GroupSpec("cyclic", 3) == GroupSpec.parse("C3") != GroupSpec("cyclic", 4)
     assert hash(GroupSpec("cyclic", 3)) == hash(GroupSpec.parse("c3"))
     assert GroupHom(K4, K4, [0, 1, 2, 3]) == ident != triv
     assert canonical_basis(K4) == canonical_basis(K4) != canonical_basis(catalog["C3"])
     assert hash(canonical_basis(K4)) == hash(canonical_basis(K4))
-    assert Scalar() == Scalar.of(0) != Scalar.of(0, 1)
+    assert Scalar() == Scalar(0) != Scalar(0, 1)
     assert Scalar() != 0 and Scalar() != (0, 0)  # only a Scalar equals a Scalar
     assert BarLift(ident) == BarLift(identity_hom(K4)) != BarLift(triv)
     # K4 has no hat basis, so both hat maps are empty: equal, whatever the hom
@@ -689,7 +709,7 @@ def test_a_group_is_its_cayley_table(catalog):
     assert [S.embedding for S in (a, b, c)] == [(0, 1), (0, 2), (0, 3)]
     assert [S.labels for S in (a, b, c)] == [("e", "a"), ("e", "b"), ("e", "c")]
     total = AlgebraElement(a, {1: 1}) + AlgebraElement(b, {1: 1})
-    assert total.coeffs == {1: Scalar.of(2)}
+    assert total.coeffs == {1: Scalar(2)}
 
 
 def test_import_loads_no_numpy():

@@ -75,6 +75,19 @@ def test_basis_positions_give_signed_hats(catalog):
                 assert hat(G, g) == sign * hat(G, basis.reps[k])
 
 
+def test_basis_position_reads_its_index_as_mul_does(catalog):
+    # None answers "g is an involution", so an index outside the group must not get it
+    basis = canonical_basis(catalog["C3"])
+    assert basis.position(0) is None and basis.position(2) == (0, -1)
+    for key, message in (
+        (-1, "element index -1 outside group of order 3"),
+        (99, "element index 99 outside group of order 3"),
+        (1.5, "element index 1.5 is not an integer"),
+    ):
+        with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+            basis.position(key)
+
+
 def test_embed_examples(catalog):
     # e_0 sits in C[S3] as the hat of its representative
     S3 = catalog["S3"]
