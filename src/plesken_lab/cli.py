@@ -20,7 +20,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -110,23 +110,16 @@ def _run_homs(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _object_map_check(G) -> dict[str, bool]:
-    """Per convention, whether ``object_map`` sends each element g of G to k(g - g^-1).
+def _object_map_check(G) -> bool:
+    """Whether ``object_map`` sends each element g of G to 2(g - g^-1), in the group algebra.
 
-    k is 2 for ``literal`` and 1 for ``pairwise``; both sides are compared in
-    the group algebra.  ``object_map`` is linear, so these |G| values decide it.
+    ``object_map`` is linear, so these |G| values decide it.
     """
     from .algebra import AlgebraElement
-    from .functor import CONVENTIONS, object_map
+    from .functor import object_map
     from .plesken import hat
 
-    k = {"literal": 2, "pairwise": 1}
-    return {
-        c: all(
-            object_map(AlgebraElement.basis(G, g), c) == k[c] * hat(G, g) for g in range(G.order)
-        )
-        for c in CONVENTIONS
-    }
+    return all(object_map(AlgebraElement.basis(G, g)) == 2 * hat(G, g) for g in range(G.order))
 
 
 def _run_functor(args) -> tuple[dict, int]:
@@ -151,9 +144,9 @@ def _run_functor(args) -> tuple[dict, int]:
         report = check_functor_laws(category)
         payload["identity_law"] = [r._asdict() for r in report.identity]
         payload["composition_law"] = [r._asdict() for r in report.composition]
-        payload["object_map"] = object_check = _object_map_check(ambient)
+        payload["object_map"] = object_ok = _object_map_check(ambient)
         payload["all_hold"] = report.all_hold
-        if not (report.all_hold and all(object_check.values())):
+        if not (report.all_hold and object_ok):
             code = EXIT_LAW_VIOLATION
     elif args.action == "full":
         report = check_full(category)

@@ -17,28 +17,20 @@ import plesken_lab  # names algebra's classes in annotations, loading `algebra` 
 from .groups import FiniteGroup, GroupHom, enumerate_homs, enumerate_subgroups, identity_hom
 from .plesken import HatMap, PleskenBasis, canonical_basis, hat_map, lift_hom_hat
 
-CONVENTIONS = ("literal", "pairwise")  # of object_map
 
-
-def object_map(
-    x: plesken_lab.AlgebraElement, convention: str = "literal"
-) -> plesken_lab.AlgebraElement:
+def object_map(x: plesken_lab.AlgebraElement) -> plesken_lab.AlgebraElement:
     """Antisymmetrize x into the hat span.
 
-    ``literal`` sums (a_g - a_{g^{-1}})(g - g^{-1}) over every group element,
-    so each non-involution pair contributes twice; ``pairwise`` sums over
-    canonical representatives only and differs by that factor of two.  Both
-    are k times the sum of a_g (g - g^{-1}) over the support of x, whose terms
-    on an involution cancel.
+    Sums (a_g - a_{g^{-1}})(g - g^{-1}) over every group element, so each
+    non-involution pair contributes twice: that is 2 times the sum of
+    a_g (g - g^{-1}) over the support of x, whose terms on an involution cancel.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     # imported here: no other name of this module needs group-algebra elements, so
     # `functor full` and `functor counterexample` never load `algebra`
     from .algebra import AlgebraElement
 
-    G, k = x.group, 2 if convention == "literal" else 1
-    terms = (t for g, c in x.coeffs.items() for t in ((g, k * c), (G.inv[g], -k * c)))
+    G = x.group
+    terms = (t for g, c in x.coeffs.items() for t in ((g, 2 * c), (G.inv[g], -2 * c)))
     return AlgebraElement(G, terms)
 
 

@@ -568,17 +568,22 @@ def closure(G: FiniteGroup, elements) -> frozenset[int]:
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """Small generating set, grown greedily (largest gain, smallest index ties)."""
+    """Small generating set, grown greedily (largest gain, smallest index ties).
+
+    An x inside a closure already tried this round is skipped: <gens, x> lies in
+    that closure, so x can neither beat the best so far nor generate G first.
+    """
     gens: list[int] = []
     generated: frozenset[int] = frozenset({G.identity})
     while len(generated) < G.order:
-        best_x = -1
-        best: frozenset[int] | None = None
+        best_x, best = -1, generated
+        covered = set(generated)
         for x in range(G.order):
-            if x in generated:
+            if x in covered:
                 continue
             cand = closure(G, gens + [x])
-            if best is None or len(cand) > len(best):
+            covered |= cand
+            if len(cand) > len(best):
                 best_x, best = x, cand
                 if len(cand) == G.order:
                     break
@@ -625,8 +630,9 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     size = prod(map(len, candidates))
     if size > HOM_SEARCH_LIMIT:
         raise SearchTooLarge(
-            f"hom search size {size} ({' * '.join(str(len(c)) for c in candidates)} "
-            f"candidate images) exceeds {HOM_SEARCH_LIMIT}"
+            f"hom search {G!r} -> {H!r} size {size} "
+            f"({' * '.join(str(len(c)) for c in candidates)} candidate images) "
+            f"exceeds {HOM_SEARCH_LIMIT}"
         )
     # order(x*y) == order(y*x), so one of each unordered pair of generators is enough
     pairs = [

@@ -2,17 +2,17 @@
 
 Nothing here reuses the library's search or reduction code paths: ranks come
 from fraction-free integer elimination, homomorphism sets from exhaustive map
-search, subgroup sets from full subset closure, conjugacy classes from
-conjugating by every element, product groups from the product of two
-tables, matrix inverses from
-search over the whole matrix group, the functor's composition law from
-every composable pair, its equal lifts from the hat of every hom image,
-the subgroups and homset sizes of the Heisenberg group in closed form in p,
-the group axioms from every triple of a table, Lie maps from every bracket
-of two basis hats, the Cohen-Taylor dimensions from character degrees
-in closed form, and the report layout from ``json.dumps``.  The four-hat
-expansion of a bracket and the seeded random elements at the end are built
-from the library's own elements, for its property checks.
+search, subgroup sets from full subset closure, generating sets from the
+unpruned greedy search, conjugacy classes from conjugating by every element,
+product groups from the product of two tables, matrix inverses from search
+over the whole matrix group, the functor's composition law from every
+composable pair, its equal lifts from the hat of every hom image, the
+subgroups and homset sizes of the Heisenberg group in closed form in p, the
+group axioms from every triple of a table, Lie maps from every bracket of two
+basis hats, the Cohen-Taylor dimensions from character degrees in closed
+form, and the report layout from ``json.dumps``.  The four-hat expansion of a
+bracket and the seeded random elements at the end are built from the
+library's own elements, for its property checks.
 """
 
 from __future__ import annotations
@@ -130,6 +130,34 @@ def all_subgroup_sets(G) -> set[frozenset[int]]:
             ):
                 out.add(frozenset(s))
     return out
+
+
+def greedy_generators(table) -> list[int]:
+    """Greedy generating set of a Cayley table: each round adds the first x whose span is largest.
+
+    Works on the rows alone, tries every x outside the span so far in every
+    round, and spans by left multiplication from the identity.
+    """
+    n = len(table)
+    e = next(x for x in range(n) if list(table[x]) == list(range(n)))
+
+    def span(gens) -> set[int]:
+        seen, stack = {e}, [e]
+        while stack:
+            z = stack.pop()
+            for g in gens:
+                if (y := table[g][z]) not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    gens, generated = [], {e}
+    while len(generated) < n:
+        spans = {x: span(gens + [x]) for x in range(n) if x not in generated}
+        best = max(spans, key=lambda x: len(spans[x]))  # max keeps the first of equal keys
+        gens.append(best)
+        generated = spans[best]
+    return gens
 
 
 def conjugacy_class_count(G) -> int:

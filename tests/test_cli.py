@@ -45,7 +45,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "7"
+    assert report["schema_version"] == "8"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -166,48 +166,50 @@ def test_functor_check_s3(capsys):
     assert payload["all_hold"] is True
     assert all(entry["ok"] for entry in payload["identity_law"])
     assert all(entry["ok"] for entry in payload["composition_law"])
-    # one verdict per convention of object_map, keyed by exactly those conventions
-    assert payload["object_map"] == dict.fromkeys(functor.CONVENTIONS, True)
+    # one verdict: object_map sends every g of S3 to 2(g - g^-1)
+    assert payload["object_map"] is True
 
 
 def test_functor_check_respects_convention_flag(capsys):
     # --convention is no longer an option: it is a usage error, and the check gives
-    # one verdict for each convention instead of the one the flag chose
+    # one verdict for the one object map
     with pytest.raises(SystemExit) as raised:
         main(["functor", "check", "--ambient", "C3", "--convention", "pairwise"])
     assert raised.value.code == 2
     assert "unrecognized arguments: --convention pairwise" in capsys.readouterr().err
     code, report = run_json(capsys, "functor", "check", "--ambient", "C3")
     assert code == 0
-    assert report["payload"]["object_map"] == {"literal": True, "pairwise": True}
+    assert report["payload"]["object_map"] is True
     assert "convention" not in report["command"]
 
 
-@pytest.mark.parametrize("convention", ["literal", "pairwise"])
-def test_functor_check_object_map_holds_on_every_catalog_ambient(capsys, catalog, convention):
+def test_functor_check_object_map_holds_on_every_catalog_ambient(capsys, catalog):
     for spec in catalog:
         code, report = run_json(capsys, "functor", "check", "--ambient", spec)
         assert code == 0, spec
-        assert report["payload"]["object_map"][convention] is True, spec
+        assert report["payload"]["object_map"] is True, spec
 
 
-@pytest.mark.parametrize("convention,factor", [("literal", 1), ("pairwise", 2), ("literal", -2)])
-def test_functor_check_exits_1_on_a_wrong_object_map_factor(
-    capsys, monkeypatch, convention, factor
-):
-    # the check writes its factors itself, so an object_map off by any factor under one
-    # convention fails that convention alone
+@pytest.mark.parametrize("factor", [Fraction(1, 2), -1, 2], ids=["half", "negated", "doubled"])
+def test_functor_check_exits_1_on_a_wrong_object_map_factor(capsys, monkeypatch, factor):
+    # the check writes the factor 2 itself, so an object_map off by any other factor fails
     right = functor.object_map
-    monkeypatch.setattr(
-        functor,
-        "object_map",
-        lambda x, c: factor * right(x, "pairwise") if c == convention else right(x, c),
-    )
+    monkeypatch.setattr(functor, "object_map", lambda x: factor * right(x))
     code, report = run_json(capsys, "functor", "check", "--ambient", "S3")
     assert code == 1 == report["exit_code"]
-    other = next(c for c in functor.CONVENTIONS if c != convention)
-    assert report["payload"]["object_map"] == {convention: False, other: True}
+    assert report["payload"]["object_map"] is False
     assert report["payload"]["all_hold"] is True
+
+
+def test_functor_check_maps_each_element_of_the_ambient_group_once(capsys, monkeypatch):
+    # object_map is linear, so its values on the |G| basis elements decide it
+    calls = []
+    right = functor.object_map
+    monkeypatch.setattr(functor, "object_map", lambda x: calls.append(x) or right(x))
+    code, _ = run_json(capsys, "functor", "check", "--ambient", "S3")
+    assert code == 0
+    assert len(calls) == 6
+    assert {g for x in calls for g in x.coeffs} == set(range(6))
 
 
 def test_seed_flag_is_a_usage_error(capsys):
@@ -313,7 +315,7 @@ COUNTEREXAMPLE = "functor counterexample "
 
 # the `object_map` block of a `check` report in the indent=2 layout, and the schema 2
 # sampled block it replaced
-OBJECT_MAP_CHECKED = '"object_map": {\n      "literal": true,\n      "pairwise": true\n    }'
+OBJECT_MAP_CHECKED = '"object_map": true'
 OBJECT_MAP_SAMPLED = (
     '"object_map": {\n      "convention": "literal",\n      "in_span_ok": true,\n'
     '      "linear_ok": true,\n      "samples": 20,\n      "seed": 0\n    }'
@@ -321,7 +323,7 @@ OBJECT_MAP_SAMPLED = (
 
 
 def _expand_to_objects(payload: dict) -> None:
-    """Rewrite a schema 7 functor payload as schema 6 wrote it: a row per object, pair or triple.
+    """Rewrite a functor payload as schema 6 wrote it: a row per object, pair or triple.
 
     Each table row is copied to every object pair or triple on its tables,
     with the object indices in place of the table ids; a composition row's
@@ -361,8 +363,9 @@ def _expand_to_objects(payload: dict) -> None:
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 7 wrote the functor records once per table, pair or triple,
-    schema 6 dropped the `"format": "json"` echo line, schema 5 the
+    Schema 8 wrote `check`'s object-map block as one verdict, schema 7
+    wrote the functor records once per table, pair or triple, schema 6
+    dropped the `"format": "json"` echo line, schema 5 the
     `"convention": "literal"` one and checked the object map under both
     conventions, schema 4 wrote each dict item of a list on one line, schema
     3 dropped the `"seed": 0` echo line and made `check`'s object-map block
@@ -378,7 +381,7 @@ def _frozen_form(command: str, out: str) -> str:
     if command.startswith("functor "):
         _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "7"\n}\n'
+    tail = '\n  "schema_version": "8"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -437,7 +440,7 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_984, "lie_sc": 3_432_822, "functor_laws": 107_470}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_935, "lie_sc": 3_432_822, "functor_laws": 107_372}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):

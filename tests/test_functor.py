@@ -44,22 +44,6 @@ def test_object_map_examples(catalog):
     for _ in range(10):
         assert object_map(random_element(K4, rng)).is_zero()
     assert object_map(parse_element(C3, "a")) == parse_element(C3, "2*a - 2*a^2")
-    assert object_map(parse_element(C3, "a"), "pairwise") == parse_element(C3, "a - a^2")
-
-
-def test_object_map_literal_is_twice_pairwise(catalog):
-    rng = Random(8)
-    for G in catalog.values():
-        if G.order > 8:
-            continue
-        for _ in range(10):
-            x = random_element(G, rng)
-            assert object_map(x) == 2 * object_map(x, "pairwise")
-
-
-def test_object_map_rejects_unknown_convention(catalog):
-    with pytest.raises(ValueError):
-        object_map(AlgebraElement.zero(catalog["C3"]), "midpoint")
 
 
 def test_object_map_is_linear_and_lands_in_span(catalog):

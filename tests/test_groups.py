@@ -34,7 +34,8 @@ from plesken_lab import (
 )
 from conftest import CHILD_ENV
 from oracles import (
-    all_hom_tables, all_subgroup_sets, compose_permutations, direct_product_table, is_group_table,
+    all_hom_tables, all_subgroup_sets, compose_permutations, direct_product_table,
+    greedy_generators, is_group_table,
 )
 
 
@@ -413,10 +414,52 @@ def test_stored_generating_sets(spec, gens):
     assert list(group_from_name(spec).generators) == gens
 
 
+GENERATOR_SPECS = (
+    "C2", "C3", "C6", "C12", "K4", "S3", "D4", "D6", "D32", "S4", "S5", "S6", "H3", "H5", "H7",
+)
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS)
+def test_generating_set_matches_the_unpruned_greedy_reference(spec):
+    G = group_from_name(spec)
+    assert list(G.generators) == greedy_generators(G.cayley)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "H3", "C12", "S3"])
+def test_generating_set_matches_the_reference_on_relabelled_tables_and_subgroups(spec):
+    G = group_from_name(spec)
+    n, rng = G.order, Random(f"generators {spec}")
+    tables = []
+    for _ in range(5):
+        relabel = rng.sample(range(n), n)
+        back = sorted(range(n), key=relabel.__getitem__)
+        tables.append([[relabel[G.cayley[back[x]][back[y]]] for y in range(n)] for x in range(n)])
+    for H in [FiniteGroup(t) for t in tables] + enumerate_subgroups(G):
+        assert list(H.generators) == greedy_generators(H.cayley), H
+
+
+@pytest.mark.parametrize("spec,closures", [("S6", 312), ("H7", 59), ("S5", 58)])
+def test_generating_set_skips_elements_inside_a_closure_already_tried(monkeypatch, spec, closures):
+    # the unpruned greedy search computes 840, 385 and 123 closures on these groups
+    G = group_from_name(spec)
+    calls = [0]
+    closure = groups.closure
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(groups, "closure", counted)
+    assert list(groups.generating_set(G)) == list(G.generators)
+    assert calls[0] == closures
+
+
 def test_hom_search_guard(catalog, monkeypatch):
     # K4's two generators have order 2: 4 candidate images each in S3, not |S3| = 6
     monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 10)
-    with pytest.raises(SearchTooLarge, match=r"^hom search size 16 \(4 \* 4 candidate images\) "):
+    # the message names both groups: inside a functor category that is the table pair
+    pattern = r"^hom search FiniteGroup\(K4\) -> FiniteGroup\(S3\) size 16 \(4 \* 4 candidate "
+    with pytest.raises(SearchTooLarge, match=pattern):
         enumerate_homs(catalog["K4"], catalog["S3"])
     monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 20)
     assert len(enumerate_homs(catalog["K4"], catalog["S3"])) == 10

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import ast
 import importlib
-import json
 import subprocess
 import sys
 import typing
@@ -156,13 +155,6 @@ def test_cli_options_are_pinned(capsys):
             assert raised.value.code == 2, (argv, retired)
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {' '.join(retired)}" in err, (argv, retired)
-
-
-def test_convention_choices_are_the_functor_conventions(capsys):
-    # the check's verdicts are keyed by exactly functor.CONVENTIONS
-    assert main(["functor", "check", "--ambient", "C2"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert tuple(report["payload"]["object_map"]) == functor.CONVENTIONS
 
 
 def test_import_loads_no_submodule():

@@ -88,7 +88,7 @@ def test_basis_position_reads_its_index_as_mul_does(catalog):
             basis.position(key)
 
 
-def test_embed_examples(catalog):
+def test_hat_of_a_basis_rep_in_the_group_algebra(catalog):
     # e_0 sits in C[S3] as the hat of its representative
     S3 = catalog["S3"]
     e0 = hat(S3, canonical_basis(S3).reps[0])
@@ -96,7 +96,7 @@ def test_embed_examples(catalog):
     assert e0 == parse_element(S3, "(123) - (132)")
 
 
-def test_plesken_bracket_s3_is_zero(catalog):
+def test_lie_bracket_of_multiples_of_one_s3_hat_is_zero(catalog):
     S3 = catalog["S3"]
     e0 = hat(S3, canonical_basis(S3).reps[0])
     x, y = 3 * e0, Fraction(-1, 2) * e0
@@ -104,7 +104,7 @@ def test_plesken_bracket_s3_is_zero(catalog):
     assert lie_bracket(x, x).is_zero()
 
 
-def test_plesken_bracket_matches_four_hat_expansion(catalog):
+def test_lie_bracket_of_s4_four_cycle_hats_matches_four_hat_expansion(catalog):
     S4 = catalog["S4"]
     basis = canonical_basis(S4)
     four_cycles = [
@@ -118,7 +118,7 @@ def test_plesken_bracket_matches_four_hat_expansion(catalog):
     assert not lie_bracket(hat(S4, g), hat(S4, h)).is_zero()
 
 
-def test_plesken_bracket_basis_mismatch(catalog):
+def test_lie_bracket_of_hats_of_different_groups_raises_group_mismatch(catalog):
     x = hat(catalog["S3"], canonical_basis(catalog["S3"]).reps[0])
     y = hat(catalog["C6"], canonical_basis(catalog["C6"]).reps[0])
     with pytest.raises(GroupMismatch):

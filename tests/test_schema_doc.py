@@ -59,3 +59,11 @@ def test_functor_examples_carry_the_keys_the_cli_writes():
     assert sorted(map(sorted, shown_payloads)) == sorted(
         sorted(set(p) - shared) for p in payloads.values()
     )
+
+
+def test_every_schema_bump_says_what_changed():
+    # each schema v from 2 on has a section saying what changed from schema v-1
+    headings = set(re.findall(r"^## .*$", SCHEMA, re.M))
+    versions = range(2, int(SCHEMA_VERSION) + 1)
+    missing = [v for v in versions if f"## Changes from schema {v - 1}" not in headings]
+    assert missing == []
