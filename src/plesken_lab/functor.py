@@ -52,7 +52,6 @@ class SubgroupCategory:
 
     def __init__(
         self,
-        ambient: FiniteGroup,
         objects: tuple[FiniteGroup, ...],
         homsets: dict[tuple[int, int], tuple[GroupHom, ...]],
     ) -> None:
@@ -60,7 +59,6 @@ class SubgroupCategory:
         if homsets.keys() != set(product(range(len(firsts)), repeat=2)):
             raise ValueError(f"homsets must be keyed by pairs of the {len(firsts)} object tables")
         self.sizes = tuple(map(self.table.count, range(len(firsts))))
-        self.ambient = ambient
         self.objects = objects
         self.bases = tuple(canonical_basis(G) for G in firsts)
         self.homsets = homsets
@@ -98,7 +96,7 @@ def subgroup_category(ambient: FiniteGroup) -> SubgroupCategory:
         for a, Ga in enumerate(firsts)
         for b, Gb in enumerate(firsts)
     }
-    return SubgroupCategory(ambient, objects, homsets)
+    return SubgroupCategory(objects, homsets)
 
 
 IdentityLawResult = namedtuple("IdentityLawResult", "table ok")

@@ -23,7 +23,7 @@ from .errors import (
 )
 
 SUBGROUP_ORDER_LIMIT = 64
-HOM_SEARCH_LIMIT = 10**7
+HOM_SEARCH_LIMIT = 10**8  # table entries filled: choices of generator images * |G|
 GROUP_ORDER_LIMIT = 2048  # a table holds order**2 entries
 
 _SPEC_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral", "H": "heisenberg"}
@@ -167,43 +167,16 @@ def _validate_table(G: FiniteGroup) -> None:
                 raise ValueError(f"associativity fails: (x*g)*y != x*(g*y) at {x=}, {g=}, {y=}")
 
 
-def _read_indices(values, count: int, bound: int, what: str, error: type) -> tuple[int, ...]:
-    """``values`` as a tuple of ``count`` ints in ``0..bound-1``; ``error`` names a bad entry."""
-    entries = []
-    for i, v in enumerate(values):
-        try:
-            v = index(v)
-        except TypeError:
-            raise error(f"{what} entry {i} is {v!r}, not an integer") from None
-        if not 0 <= v < bound:
-            raise error(f"{what} entry {i} is {v}, outside 0..{bound - 1}")
-        entries.append(v)
-    if len(entries) != count:
-        raise error(f"{what} has {len(entries)} entries, expected {count}")
-    return tuple(entries)
-
-
-def _read_embedding(G: FiniteGroup, embedding, ambient: "FiniteGroup | None") -> tuple[int, ...]:
-    """``embedding`` as a tuple, checked to be an injective hom into ``ambient``."""
-    if ambient is None:
-        raise ValueError("an embedding needs an ambient group")
-    entries = _read_indices(embedding, G.order, ambient.order, "embedding", ValueError)
-    if len(set(entries)) != G.order:
-        i = next(i for i, v in enumerate(entries) if v in entries[:i])
-        raise ValueError(f"embedding entry {i} repeats {entries[i]}")
-    if not _is_hom(G, ambient, entries):
-        raise ValueError("embedding is not a homomorphism into the ambient group")
-    return entries
-
-
 class FiniteGroup(_Frozen):
     """A finite group on indices ``0..order-1`` with precomputed tables.
 
     Built from any iterable of rows, each read once and checked to be a
     permutation of ``0..n-1``; ``_validate_table`` checks the rest and stores
     the greedy ``generators``.  Immutable after, as every ``_Frozen`` value is.
-    Subgroups carry ``ambient`` and an ``embedding``, an injective hom back
-    into the parent group.
+    The constructor takes only what it checks, so ``spec``, ``ambient`` and
+    ``embedding`` start as None: ``build_group`` sets the ``spec`` of the group
+    it names, and ``enumerate_subgroups`` sets each subgroup's ``ambient`` and
+    ``embedding``, the members' indices in the ambient group.
 
     A group is its Cayley table: two groups with one table are equal and hash
     alike.  ``labels``, ``spec``, ``ambient`` and ``embedding`` describe a
@@ -224,14 +197,7 @@ class FiniteGroup(_Frozen):
         "label_index",
     )
 
-    def __init__(
-        self,
-        cayley,
-        labels=None,
-        spec: GroupSpec | None = None,
-        ambient: "FiniteGroup | None" = None,
-        embedding=None,
-    ) -> None:
+    def __init__(self, cayley, labels=None) -> None:
         rows = iter(cayley)
         first = tuple(next(rows, ()))  # n comes from the first row
         n = len(first)
@@ -264,11 +230,9 @@ class FiniteGroup(_Frozen):
                 raise ValueError(f"label {lab!r} is at positions {j} and {i}")
         _set(self, "labels", labels)
         _set(self, "label_index", label_index)
-        _set(self, "spec", spec)
-        _set(self, "ambient", ambient)
-        if embedding is not None:
-            embedding = _read_embedding(self, embedding, ambient)
-        _set(self, "embedding", embedding)
+        _set(self, "spec", None)
+        _set(self, "ambient", None)
+        _set(self, "embedding", None)
 
     def mul(self, x: int, y: int) -> int:
         return self.cayley[self._check_index(x)][self._check_index(y)]
@@ -349,7 +313,9 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
         "klein4": _klein_four_group,
         "heisenberg": _heisenberg_group,
     }[spec.kind]
-    return builder(spec)
+    G = builder(spec)
+    _set(G, "spec", spec)
+    return G
 
 
 def group_from_name(text: str) -> FiniteGroup:
@@ -390,12 +356,12 @@ def _cyclic_group(spec: GroupSpec) -> FiniteGroup:
     line = tuple(range(n)) * 2
     cayley = (line[i : i + n] for i in range(n))  # rotations share one int per value
     labels = [_power_label("a", k) for k in range(n)]
-    return FiniteGroup(cayley, labels, spec)
+    return FiniteGroup(cayley, labels)
 
 
 def _klein_four_group(spec: GroupSpec) -> FiniteGroup:
     cayley = [[i ^ j for j in range(4)] for i in range(4)]
-    return FiniteGroup(cayley, ["e", "a", "b", "c"], spec)
+    return FiniteGroup(cayley, ["e", "a", "b", "c"])
 
 
 def _dihedral_group(spec: GroupSpec) -> FiniteGroup:
@@ -415,7 +381,7 @@ def _dihedral_group(spec: GroupSpec) -> FiniteGroup:
     cayley = _rows_by_right_multiplication(order, generators)
     labels = [_power_label("r", k) for k in range(n)]
     labels += ["s" if k == 0 else "s" + _power_label("r", k) for k in range(n)]
-    return FiniteGroup(cayley, labels, spec)
+    return FiniteGroup(cayley, labels)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -450,7 +416,7 @@ def _symmetric_group(spec: GroupSpec) -> FiniteGroup:
     ]
     cayley = _rows_by_right_multiplication(len(perms), generators)
     labels = [_cycle_label(p) for p in perms]
-    return FiniteGroup(cayley, labels, spec)
+    return FiniteGroup(cayley, labels)
 
 
 def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
@@ -468,7 +434,7 @@ def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
     ]
     cayley = _rows_by_right_multiplication(len(triples), generators)
     labels = [f"({a},{b},{c})" for (a, b, c) in triples]
-    return FiniteGroup(cayley, labels, spec)
+    return FiniteGroup(cayley, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +455,20 @@ class GroupHom(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image) -> None:
+        entries = []
+        for i, v in enumerate(image):
+            try:
+                v = index(v)
+            except TypeError:
+                raise InvalidHom(f"image entry {i} is {v!r}, not an integer") from None
+            if not 0 <= v < codomain.order:
+                raise InvalidHom(f"image entry {i} is {v}, outside 0..{codomain.order - 1}")
+            entries.append(v)
+        if len(entries) != domain.order:
+            raise InvalidHom(f"image has {len(entries)} entries, expected {domain.order}")
         _set(self, "domain", domain)
         _set(self, "codomain", codomain)
-        _set(self, "image", _read_indices(image, domain.order, codomain.order, "image", InvalidHom))
+        _set(self, "image", tuple(entries))
         if not validate_hom(self):
             raise InvalidHom("image table is not a group homomorphism")
 
@@ -523,14 +500,14 @@ def validate_hom(h: GroupHom) -> bool:
     products once ``img`` fixes the identity, so they are all of the domain
     when they include its ``generators``: O(|G| * |generators|) instead of
     every pair.  ``GroupHom.__init__`` runs it on every table it is given, and
-    subgroup embeddings and the tables ``enumerate_homs`` keeps pass the same
-    ``_is_hom``: it is the library's one test of a hom.
+    the tables ``enumerate_homs`` keeps pass the same ``_is_hom``: it is the
+    library's one test of a hom.
     """
     return _is_hom(h.domain, h.codomain, h.image)
 
 
 def _is_hom(G: FiniteGroup, H: FiniteGroup, img: Sequence[int]) -> bool:
-    """``validate_hom`` on a bare image table, for embeddings and the hom search."""
+    """``validate_hom`` on a bare image table, for the hom search."""
     if img[G.identity] != H.identity:
         return False
     image, rows = img.__getitem__, H.cayley
@@ -619,20 +596,20 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     first: ``img[y] = img[x]*h_i``.  It is kept when ``_is_hom``, the test every
     ``GroupHom`` passes, accepts it.  A hom with images h_i equals its fill, so
     none is missed; the identity's own steps set ``img[g_i] = h_i``, so distinct
-    choices give distinct tables.  ``HOM_SEARCH_LIMIT`` bounds the number of
-    choices the loop walks: the product of the candidate counts.
+    choices give distinct tables.  ``HOM_SEARCH_LIMIT`` bounds the entries the
+    loop may fill: the product of the candidate counts times |G|.
     """
     gens = G.generators
     orders_G, orders_H = _element_orders(G), _element_orders(H)
     candidates = [
         [h for h in range(H.order) if orders_G[g] % orders_H[h] == 0] for g in gens
     ]
-    size = prod(map(len, candidates))
-    if size > HOM_SEARCH_LIMIT:
+    entries = prod(map(len, candidates)) * G.order
+    if entries > HOM_SEARCH_LIMIT:
         raise SearchTooLarge(
-            f"hom search {G!r} -> {H!r} size {size} "
-            f"({' * '.join(str(len(c)) for c in candidates)} candidate images) "
-            f"exceeds {HOM_SEARCH_LIMIT}"
+            f"hom search {G!r} -> {H!r} fills {entries} table entries "
+            f"({' * '.join(str(len(c)) for c in candidates)} candidate images, "
+            f"{G.order} entries each), above the limit {HOM_SEARCH_LIMIT}"
         )
     # order(x*y) == order(y*x), so one of each unordered pair of generators is enough
     pairs = [
@@ -665,25 +642,32 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
 
 def _as_subgroup(G: FiniteGroup, members: list[int]) -> FiniteGroup:
+    """The subgroup on ``members``, a closed subset of G: local index i is ``members[i]``.
+
+    Its table is ``pos[m_i * m_j]``, so the stored ``embedding`` i -> m_i is an injective hom.
+    """
     pos = {g: i for i, g in enumerate(members)}
     cayley = ([pos[G.cayley[x][y]] for y in members] for x in members)
-    labels = [G.labels[g] for g in members]
-    return FiniteGroup(cayley, labels, spec=None, ambient=G, embedding=tuple(members))
+    S = FiniteGroup(cayley, [G.labels[g] for g in members])
+    _set(S, "ambient", G)
+    _set(S, "embedding", tuple(members))
+    return S
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
     """All subgroups of G, smallest first, by cyclic extension.
 
-    Each result is a FiniteGroup whose ``embedding`` maps local indices back
-    into G.  Every subgroup is <g_1, ..., g_r> for some elements, so extending
-    each subgroup H found by one element outside it, until nothing new turns
-    up, finds them all (Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005).  <H, g> = <H, xh> for every generator x of <g> and
-    h in H, so one g of each set of such products is tried.
+    Each result is a FiniteGroup whose ``ambient`` is G and whose ``embedding``
+    maps local indices back into G.  Every subgroup is <g_1, ..., g_r> for
+    some elements, so extending each subgroup H found by one element outside
+    it, until nothing new turns up, finds them all (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005).  <H, g> = <H, xh> for
+    every generator x of <g> and h in H, so one g of each set of such
+    products is tried.
     """
     if G.order > SUBGROUP_ORDER_LIMIT:
         raise SearchTooLarge(
-            f"subgroup enumeration needs order <= {SUBGROUP_ORDER_LIMIT}, got {G.order}"
+            f"subgroup enumeration of {G!r} needs order <= {SUBGROUP_ORDER_LIMIT}, got {G.order}"
         )
     table, generators = G.cayley, {}  # each cyclic subgroup and the elements that generate it
     for g in range(G.order):

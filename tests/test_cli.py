@@ -265,6 +265,20 @@ def test_guard_exit_3(capsys):
     code, report = run_json(capsys, "functor", "check", "--ambient", "D33")
     assert code == 3
     assert report["exit_code"] == 3
+    assert "subgroup enumeration of FiniteGroup(D33) needs" in report["error"]
+
+
+def test_hom_search_guard_exits_3_on_table_fills(capsys, monkeypatch):
+    # 1000 * 502 choices of generator images, each filling a table of 1000 entries; a guard
+    # that let it through would print 1.23 GB, so the first table checked stops the test
+    def refuse(*args):
+        raise AssertionError("the hom search ran past its guard")
+
+    monkeypatch.setattr(groups, "_is_hom", refuse)
+    code, report = run_json(capsys, "homs", "D500", "D500")
+    assert code == 3 == report["exit_code"]
+    assert "FiniteGroup(D500) -> FiniteGroup(D500) fills 502000000 table" in report["error"]
+    assert "payload" not in report
 
 
 @pytest.mark.parametrize("spec,order", [

@@ -213,7 +213,7 @@ def test_functor_laws_fail_when_a_composite_is_missing(catalog):
     _, t, auto = _top_automorphism(C)
     homsets = dict(C.homsets)
     homsets[(t, t)] = tuple(f for f in homsets[(t, t)] if f != auto)
-    report = _check_against_reference(SubgroupCategory(C.ambient, C.objects, homsets))
+    report = _check_against_reference(SubgroupCategory(C.objects, homsets))
     assert not report.all_hold
     assert all(r.ok for r in report.identity)
     assert (t, t, t) in _failing(report)
@@ -291,8 +291,11 @@ def test_category_refuses_homsets_not_keyed_by_table_pairs(catalog):
     missing = {ab: homset for ab, homset in C.homsets.items() if ab != (1, 2)}
     for homsets in (per_object_pair, missing):
         with pytest.raises(ValueError, match="keyed by pairs of the 4 object tables"):
-            SubgroupCategory(C.ambient, C.objects, homsets)
-    SubgroupCategory(C.ambient, C.objects, dict(C.homsets))  # the table pairs themselves
+            SubgroupCategory(C.objects, homsets)
+    SubgroupCategory(C.objects, dict(C.homsets))  # the table pairs themselves
+    # the ambient group is carried by each object, not by the category
+    assert not hasattr(C, "ambient")
+    assert all(obj.ambient is catalog["S3"] for obj in C.objects)
 
 
 def _c2_objects(C):

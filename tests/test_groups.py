@@ -37,6 +37,7 @@ from oracles import (
     all_hom_tables, all_subgroup_sets, compose_permutations, direct_product_table,
     greedy_generators, is_group_table,
 )
+from test_invariance import relabelled
 
 
 def assert_group_axioms(G: FiniteGroup) -> None:
@@ -455,14 +456,30 @@ def test_generating_set_skips_elements_inside_a_closure_already_tried(monkeypatc
 
 
 def test_hom_search_guard(catalog, monkeypatch):
-    # K4's two generators have order 2: 4 candidate images each in S3, not |S3| = 6
-    monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 10)
+    # K4's two generators have order 2: 4 candidate images each in S3, not |S3| = 6, and
+    # each of the 16 choices fills a table of |K4| = 4 entries
+    monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 63)
     # the message names both groups: inside a functor category that is the table pair
-    pattern = r"^hom search FiniteGroup\(K4\) -> FiniteGroup\(S3\) size 16 \(4 \* 4 candidate "
+    pattern = (
+        r"^hom search FiniteGroup\(K4\) -> FiniteGroup\(S3\) fills 64 table entries "
+        r"\(4 \* 4 candidate images, 4 entries each\), above the limit 63$"
+    )
     with pytest.raises(SearchTooLarge, match=pattern):
         enumerate_homs(catalog["K4"], catalog["S3"])
-    monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 20)
+    monkeypatch.setattr(groups, "HOM_SEARCH_LIMIT", 64)
     assert len(enumerate_homs(catalog["K4"], catalog["S3"])) == 10
+
+
+@pytest.mark.parametrize("spec,entries", [
+    ("D500", 1000 * 502 * 1000), ("H11", 1331**3), ("D1024", 2048 * 1026 * 2048),
+])
+def test_hom_search_guard_counts_table_entries_not_choices(monkeypatch, spec, entries):
+    # each has fewer than 10**7 choices of generator images, so a guard on choices admits it
+    G = group_from_name(spec)
+    assert entries // G.order < 10**7 < groups.HOM_SEARCH_LIMIT < entries
+    monkeypatch.setattr(groups, "_is_hom", None)  # a search past the guard fails at once
+    with pytest.raises(SearchTooLarge, match=f" fills {entries} table entries "):
+        enumerate_homs(G, G)
 
 
 def test_compose_homs(catalog):
@@ -541,7 +558,8 @@ def test_group_order_guard(monkeypatch):
 def test_subgroup_order_guard():
     D33 = group_from_name("D33")
     assert D33.order == 66
-    with pytest.raises(SearchTooLarge):
+    pattern = r"^subgroup enumeration of FiniteGroup\(D33\) needs order <= 64, got 66$"
+    with pytest.raises(SearchTooLarge, match=pattern):
         enumerate_subgroups(D33)
 
 
@@ -679,33 +697,43 @@ def test_hom_image_range_and_length_messages_name_the_entry(catalog):
         GroupHom(C2, C3, (0, 0, 0))
 
 
-def test_embedding_entries_are_checked(catalog):
-    C2, C4 = catalog["C2"], group_from_name("C4")
-    for embedding, message in (
-        ((0, 1.5), "embedding entry 1 is 1.5, not an integer"),
-        (("0", 2), "embedding entry 0 is '0', not an integer"),
-        ((0, 4), r"embedding entry 1 is 4, outside 0\.\.3"),
-        ((-1, 2), r"embedding entry 0 is -1, outside 0\.\.3"),
-        ((0, 2, 3), "embedding has 3 entries, expected 2"),
-        ((0,), "embedding has 1 entries, expected 2"),
-        ((2, 2), "embedding entry 1 repeats 2"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            FiniteGroup(C2.cayley, ambient=C4, embedding=embedding)
-    with pytest.raises(ValueError, match="needs an ambient group"):
-        FiniteGroup(C2.cayley, embedding=(0, 2))
-    assert FiniteGroup(C2.cayley, ambient=catalog["K4"], embedding=(0, True)).embedding == (0, 1)
-    assert FiniteGroup(C2.cayley, ambient=C4, embedding=[0, 2]).embedding == (0, 2)
+def test_every_subgroup_is_embedded_pairwise(catalog):
+    # the embedding is set unchecked by enumerate_subgroups; this re-checks every pair of
+    # elements with plain loops, not through _is_hom, on the catalog and on the relabelled
+    # tables of test_invariance
+    ambients = list(catalog.values())
+    for spec in ("S3", "D4", "S4", "H3", "D6"):
+        G, rng = group_from_name(spec), Random(f"relabel {spec}")
+        ambients += [relabelled(G, rng) for _ in range(2)]
+    for G in ambients:
+        for S in enumerate_subgroups(G):
+            e = S.embedding
+            assert S.ambient is G and S.spec is None
+            assert S.labels == tuple(G.labels[g] for g in e)
+            assert len(set(e)) == S.order and set(e) <= set(range(G.order))
+            for x in range(S.order):
+                for y in range(S.order):
+                    assert G.cayley[e[x]][e[y]] == e[S.cayley[x][y]], (G, S, x, y)
 
 
-def test_embedding_must_be_a_hom(catalog):
-    C4, S3 = group_from_name("C4"), catalog["S3"]
-    # C3 -> C4 is no hom; (123) has order 3, so {e, (123)} is no subgroup of S3
-    for sub, ambient, embedding in ((catalog["C3"], C4, (0, 1, 2)), (catalog["C2"], S3, (0, 3))):
-        with pytest.raises(ValueError, match="embedding is not a homomorphism into the ambient"):
-            FiniteGroup(sub.cayley, ambient=ambient, embedding=embedding)
-    for G in catalog.values():  # every subgroup the library finds passes the same check
-        assert all(S.ambient is G for S in enumerate_subgroups(G))
+def test_spec_ambient_and_embedding_come_from_the_builders(catalog):
+    for spec, G in catalog.items():
+        assert groups.build_group(GroupSpec.parse(spec)).spec == GroupSpec.parse(spec) == G.spec
+        assert G.ambient is None and G.embedding is None
+    S3 = catalog["S3"]
+    user = FiniteGroup(S3.cayley, S3.labels)
+    assert (user.spec, user.ambient, user.embedding) == (None, None, None)
+    assert repr(user) == "FiniteGroup(order-6 group)"
+
+
+@pytest.mark.parametrize("keyword", ["spec", "ambient", "embedding"])
+def test_constructor_takes_only_a_table_and_labels(catalog, keyword):
+    S3 = catalog["S3"]
+    value = {"spec": GroupSpec.parse("C5"), "ambient": S3, "embedding": tuple(range(6))}[keyword]
+    with pytest.raises(TypeError, match=keyword):
+        FiniteGroup(S3.cayley, S3.labels, **{keyword: value})
+    with pytest.raises(TypeError):
+        FiniteGroup(S3.cayley, S3.labels, value)  # S3's table can no longer be named C5
 
 
 def test_value_classes_are_immutable_and_compare_by_fields(catalog):
