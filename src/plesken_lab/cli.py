@@ -20,7 +20,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -41,8 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="commutator of two elements")
     p.add_argument("spec")
-    p.add_argument("x", help="element expression, e.g. '2*e + (1/2)*a - i*a^2'")
-    p.add_argument("y")
+    p.add_argument(
+        "x",
+        help="element expression, e.g. '2*e + (1/2)*a - i*a^2'; one that starts with "
+        "'-' goes after '--'",
+    )
+    p.add_argument("y", help="element expression, as x")
 
     p = sub.add_parser("plesken", help="hat basis data")
     p.add_argument("spec")
@@ -77,9 +81,13 @@ def _run_bracket(args) -> tuple[dict, int]:
 
     spec = GroupSpec.parse(args.spec)
     G = build_group(spec)
-    x = parse_element(G, args.x)
-    y = parse_element(G, args.y)
-    return element_to_json(lie_bracket(x, y)), EXIT_OK
+    elements = []
+    for name in ("x", "y"):
+        try:
+            elements.append(parse_element(G, getattr(args, name)))
+        except ParseError as exc:  # name the argument that failed
+            raise ParseError(f"{name}: {exc}") from exc
+    return element_to_json(lie_bracket(*elements)), EXIT_OK
 
 
 def _run_plesken(args) -> tuple[dict, int]:
@@ -156,9 +164,15 @@ def _run_functor(args) -> tuple[dict, int]:
             code = EXIT_LAW_VIOLATION
     else:
         classes = find_faithfulness_counterexample(category)
-        payload["classes"] = [
-            {"source": a, "target": b, "images": list(map(list, images))}
+        # a hom is fixed by its images of the source's generators, so a member is written as those
+        gens = [list(basis.group.generators) for basis in category.bases]
+        rows = sorted(
+            (a, b, sorted([image[g] for g in gens[a]] for image in images))
             for a, b, images in classes
+        )
+        payload["classes"] = [
+            {"generators": gens[a], "images": images, "source": a, "target": b}
+            for a, b, images in rows
         ]
         n = category.sizes  # a class of m on tables (a, b): m(m-1)/2 pairs per object pair
         payload["count"] = sum(n[a] * n[b] * len(c) * (len(c) - 1) // 2 for a, b, c in classes)

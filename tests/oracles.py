@@ -2,11 +2,13 @@
 
 Nothing here reuses the library's search or reduction code paths: ranks come
 from fraction-free integer elimination, homomorphism sets from exhaustive map
-search, subgroup sets from full subset closure, generating sets from the
-unpruned greedy search, conjugacy classes from conjugating by every element,
-product groups from the product of two tables, matrix inverses from search
-over the whole matrix group, the functor's composition law from every
-composable pair, its equal lifts from the hat of every hom image, the
+search, a hom from its generator images by a walk of the table checked on
+every pair, subgroup sets from full subset closure, the span of a set by a
+walk of the table, generating sets from the unpruned greedy search,
+conjugacy classes from conjugating by every element, product groups from
+the product of two tables, matrix inverses from search over the whole
+matrix group, the functor's composition law from every composable pair,
+its equal lifts from the hat of every hom image, the
 subgroups and homset sizes of the Heisenberg group in closed form in p, the
 group axioms from every triple of a table, Lie maps from every bracket of two
 basis hats, the Cohen-Taylor dimensions from character degrees in closed
@@ -132,6 +134,50 @@ def all_subgroup_sets(G) -> set[frozenset[int]]:
     return out
 
 
+def _table_identity(table) -> int:
+    """The element whose row is 0..n-1, read from the rows alone."""
+    return next(x for x in range(len(table)) if list(table[x]) == list(range(len(table))))
+
+
+def span(table, gens) -> set[int]:
+    """Everything a Cayley table reaches from its identity by left multiplication by ``gens``."""
+    e = _table_identity(table)
+    seen, stack = {e}, [e]
+    while stack:
+        z = stack.pop()
+        for g in gens:
+            if (y := table[g][z]) not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def hom_from_generator_images(source, target, gens, images) -> tuple[int, ...] | None:
+    """The image table of the hom of two Cayley tables sending each ``gens[i]`` to ``images[i]``.
+
+    Walks the source table from its identity, setting f(x*g) = f(x)*f(g) for
+    each generator g, then checks ``f(x*y) == f(x)*f(y)`` for every pair and
+    ``f(gens[i]) == images[i]``.  None when the walk misses an element or a
+    check fails: then no such hom exists.
+    """
+    t, u = source, target
+    image = {_table_identity(t): _table_identity(u)}
+    stack = list(image)
+    while stack:
+        x = stack.pop()
+        for g, h in zip(gens, images):
+            if (y := t[x][g]) not in image:
+                image[y] = u[image[x]][h]
+                stack.append(y)
+    n = len(t)
+    if len(image) < n:
+        return None
+    f = tuple(image[x] for x in range(n))
+    if any(f[t[x][y]] != u[f[x]][f[y]] for x in range(n) for y in range(n)):
+        return None
+    return f if all(f[g] == h for g, h in zip(gens, images)) else None
+
+
 def greedy_generators(table) -> list[int]:
     """Greedy generating set of a Cayley table: each round adds the first x whose span is largest.
 
@@ -139,21 +185,9 @@ def greedy_generators(table) -> list[int]:
     round, and spans by left multiplication from the identity.
     """
     n = len(table)
-    e = next(x for x in range(n) if list(table[x]) == list(range(n)))
-
-    def span(gens) -> set[int]:
-        seen, stack = {e}, [e]
-        while stack:
-            z = stack.pop()
-            for g in gens:
-                if (y := table[g][z]) not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    gens, generated = [], {e}
+    gens, generated = [], {_table_identity(table)}
     while len(generated) < n:
-        spans = {x: span(gens + [x]) for x in range(n) if x not in generated}
+        spans = {x: span(table, gens + [x]) for x in range(n) if x not in generated}
         best = max(spans, key=lambda x: len(spans[x]))  # max keeps the first of equal keys
         gens.append(best)
         generated = spans[best]

@@ -26,8 +26,9 @@ from plesken_lab import (
     structure_constants, subgroup_category,
 )
 from plesken_lab.cli import _json_text, main
+from plesken_lab.errors import ParseError
 from conftest import CATALOG_SPECS, CHILD_ENV
-from oracles import report_layout
+from oracles import hom_from_generator_images, report_layout, span
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 
@@ -45,7 +46,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "8"
+    assert report["schema_version"] == "9"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -121,6 +122,25 @@ def test_bracket_abelian_is_zero(capsys):
     code, report = run_json(capsys, "bracket", "C3", "e+a", "e+a^2")
     assert code == 0
     assert report["payload"] == {"group": "C3", "terms": []}
+
+
+def test_bracket_expression_starting_with_minus_goes_after_double_dash(capsys):
+    # argparse takes an argument that starts with '-' for an option, so y is missing
+    with pytest.raises(SystemExit) as raised:
+        main(["bracket", "C3", "a", "-(1/2)*a"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert "the following arguments are required: y" in captured.err
+    assert captured.out == ""
+    # after '--' it is an expression: [x, -y] is -[x, y]
+    code, negated = run_json(capsys, "bracket", "S3", "(12)", "--", "-(123)")
+    assert code == 0
+    assert negated["command"]["args"]["y"] == "-(123)"
+    _, plain = run_json(capsys, "bracket", "S3", "(12)", "(123)")
+    terms = plain["payload"]["terms"]
+    assert terms and negated["payload"]["terms"] == [
+        dict(t, re=str(-Fraction(t["re"])), im=str(-Fraction(t["im"]))) for t in terms
+    ]
 
 
 def test_bracket_matches_library_oracle(capsys):
@@ -224,7 +244,7 @@ def test_functor_counterexample_k4(capsys):
     assert code == 0
     payload = report["payload"]
     classes = payload["classes"]
-    assert all(set(c) == {"source", "target", "images"} for c in classes)
+    assert all(set(c) == {"generators", "images", "source", "target"} for c in classes)
     # count stays the number of object pairs: a class of m morphisms on tables (a, b)
     # stands for m(m-1)/2 on each of the n_a·n_b object pairs on them
     n = Counter(obj["table"] for obj in payload["objects"])
@@ -233,12 +253,43 @@ def test_functor_counterexample_k4(capsys):
         n[c["source"]] * n[c["target"]] * len(c["images"]) * (len(c["images"]) - 1) // 2
         for c in classes
     ) == 165
+    # a member is written as its images of the generators a and b: the trivial hom and
+    # the identity of K4 induce one map
     k4 = payload["objects"][4]["table"]
-    assert any(
-        (c["source"], c["target"]) == (k4, k4)
-        and [0, 0, 0, 0] in c["images"] and [0, 1, 2, 3] in c["images"]
-        for c in classes
-    )
+    (row,) = [c for c in classes if (c["source"], c["target"]) == (k4, k4)]
+    assert row["generators"] == [1, 2]
+    assert [0, 0] in row["images"] and [1, 2] in row["images"]
+
+
+@pytest.mark.parametrize("spec", (*CATALOG_SPECS, "D6", "D32"))
+def test_counterexample_rows_decode_to_the_library_classes(capsys, spec):
+    # each row names the source table's generators and each member by its images of them;
+    # the oracle walk of the table turns those images back into the full image table
+    code, report = run_json(capsys, "functor", "counterexample", "--ambient", spec)
+    assert code == 0
+    category = subgroup_category(group_from_name(spec))
+    rows = report["payload"]["classes"]
+    decoded = []
+    for row in rows:
+        a, b, gens = row["source"], row["target"], row["generators"]
+        A, B = category.bases[a].group, category.bases[b].group
+        assert gens == list(A.generators)
+        assert span(A.cayley, gens) == set(range(A.order))
+        assert row["images"] == sorted(row["images"])
+        members = [hom_from_generator_images(A.cayley, B.cayley, gens, m) for m in row["images"]]
+        assert None not in members
+        decoded.append((a, b, tuple(sorted(members))))
+    assert sorted(decoded) == functor.find_faithfulness_counterexample(category)
+    keys = [(row["source"], row["target"], row["images"]) for row in rows]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+def test_counterexample_d32_writes_generator_images_only(capsys):
+    # a member is |generators| ints, not |source| ints: schema 8 wrote 632,308 bytes here
+    code, out = run_cli(capsys, "functor", "counterexample", "--ambient", "D32")
+    assert code == 0
+    assert len(out.encode()) <= 70_000
+    assert json.loads(out)["payload"]["count"] == 1_348_204
 
 
 def test_functor_full_c6(capsys):
@@ -253,12 +304,24 @@ def test_functor_full_c6(capsys):
     ("bracket", "C3", "e+q", "a"),
     ("bracket", "C3", "e+", "a"),
     ("bracket", "S3", "1/0*e", "e"),
+    ("bracket", "S3", "(12)", "zz"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == 2
     assert report["exit_code"] == 2
     assert "error" in report and "payload" not in report
+    if argv[0] == "bracket":
+        # the parser's message for the first argument that fails, prefixed by its name
+        G = group_from_name(argv[1])
+        for name, text in zip("xy", argv[2:]):
+            try:
+                parse_element(G, text)
+            except ParseError as exc:
+                assert report["error"] == f"{name}: {exc}"
+                break
+        else:
+            pytest.fail(f"{argv} parses")
 
 
 def test_guard_exit_3(capsys):
@@ -374,28 +437,47 @@ def _expand_to_objects(payload: dict) -> None:
         ]
 
 
+def _full_image_classes(payload: dict) -> None:
+    """Rewrite counterexample classes as schema 8 wrote them: full image tables, sorted.
+
+    Each member, written as its images of the source table's generators, is
+    looked up by those images in its homset of the ambient's subgroup category.
+    """
+    category = subgroup_category(group_from_name(payload["ambient"]))
+    classes = []
+    for c in payload["classes"]:
+        a, b, gens = c["source"], c["target"], c.pop("generators")
+        full = {tuple(f.image[g] for g in gens): list(f.image) for f in category.homsets[a, b]}
+        classes.append(dict(c, images=sorted(full[tuple(m)] for m in c["images"])))
+    payload["classes"] = sorted(classes, key=lambda c: (c["source"], c["target"], c["images"]))
+
+
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 8 wrote `check`'s object-map block as one verdict, schema 7
+    Schema 9 wrote each counterexample member as its generator images,
+    schema 8 wrote `check`'s object-map block as one verdict, schema 7
     wrote the functor records once per table, pair or triple, schema 6
     dropped the `"format": "json"` echo line, schema 5 the
     `"convention": "literal"` one and checked the object map under both
     conventions, schema 4 wrote each dict item of a list on one line, schema
     3 dropped the `"seed": 0` echo line and made `check`'s object-map block
     exact, and schema 2 changed only the counterexample payload.  So every
-    functor report gets its object rows back (`_expand_to_objects`), every
-    report is re-rendered with `indent=2` and gets its three echo lines back,
-    a `check` report its sampled block, a counterexample report the schema 2
-    digit and any other report the schema 1 digit, which it was frozen under,
-    and must then be byte-identical.
+    counterexample report gets its full image tables back
+    (`_full_image_classes`), every functor report its object rows
+    (`_expand_to_objects`), every report is re-rendered with `indent=2` and
+    gets its three echo lines back, a `check` report its sampled block, a
+    counterexample report the schema 2 digit and any other report the schema
+    1 digit, which it was frozen under, and must then be byte-identical.
     """
     report = json.loads(out)
     assert report_layout(report) + "\n" == out, command
+    if command.startswith(COUNTEREXAMPLE):
+        _full_image_classes(report["payload"])
     if command.startswith("functor "):
         _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "8"\n}\n'
+    tail = '\n  "schema_version": "9"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -454,7 +536,7 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_935, "lie_sc": 3_432_822, "functor_laws": 107_372}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_879, "lie_sc": 3_432_822, "functor_laws": 88_302}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):
@@ -620,7 +702,7 @@ _json_values = st.recursive(
 @example({"homs": [{"image": [0, 2, 1]}, {"image": [0, 1, 2]}]})
 @example([{"middle": 1, "ok": True, "pairs": 12, "source": 0, "target": 2, "triples": 4}])
 @example([{"elements": ["e", "(12)"], "index": 1, "order": 2, "table": 1}])
-@example([{"images": [[0, 1, 2], [0, 2, 1]], "source": 1, "target": 1}])
+@example([{"generators": [1], "images": [[1], [2]], "source": 1, "target": 1}])
 def test_json_text_matches_json_dumps(value):
     assert _written(value) == report_layout(value)
 

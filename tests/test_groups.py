@@ -35,7 +35,7 @@ from plesken_lab import (
 from conftest import CHILD_ENV
 from oracles import (
     all_hom_tables, all_subgroup_sets, compose_permutations, direct_product_table,
-    greedy_generators, is_group_table,
+    greedy_generators, hom_from_generator_images, is_group_table,
 )
 from test_invariance import relabelled
 
@@ -291,6 +291,22 @@ def test_hom_oracle_is_the_scan_of_every_map(catalog, dom, cod):
         if all(image[G.cayley[x][y]] == H.cayley[image[x]][image[y]] for x in r for y in r)
     ]
     assert all_hom_tables(G, H) == scan
+
+
+@pytest.mark.parametrize("dom,cod", [
+    ("C3", "C3"), ("S3", "S3"), ("K4", "C6"), ("D4", "C2"), ("S3", "K4"), ("C6", "S3"),
+])
+def test_generator_image_oracle_rebuilds_each_hom_and_no_other_map(catalog, dom, cod):
+    # every choice of generator images gives the one hom that sends the generators there,
+    # or None when there is none
+    G, H = catalog[dom], catalog[cod]
+    gens = greedy_generators(G.cayley)
+    homs = {tuple(image[g] for g in gens): image for image in all_hom_tables(G, H)}
+    for images in itertools.product(range(H.order), repeat=len(gens)):
+        assert hom_from_generator_images(G.cayley, H.cayley, gens, images) == homs.get(images)
+    # a set that does not generate G fixes no hom, even with the images of a hom
+    images = next(iter(homs))
+    assert hom_from_generator_images(G.cayley, H.cayley, gens[:-1], images[:-1]) is None
 
 
 def test_group_hom_refuses_a_map_that_agrees_on_the_generators(catalog):
