@@ -1,8 +1,10 @@
 """Command-line front end: one JSON report per command, the only output.
 
-Every command writes a single report object (docs/schema.md): schema_version,
-an echo of the parsed command, the payload or an error, and the exit code.
-The bytes are deterministic for fixed arguments.
+Every command that parses writes a single report object (docs/schema.md):
+schema_version, an echo of the parsed command, the payload or an error, and
+the exit code.  The bytes are deterministic for fixed arguments.  A command
+line that argparse refuses gets argparse's usage message on stderr, exit 2,
+and no report.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -191,8 +193,9 @@ _DISPATCH = {
 class _Constants(dict):
     """Structure constants ``{(k, l): {m: c}}``, written in the table's order.
 
-    Each term c e_m of [e_k, e_l] is the record ``{"im": "0", "k": k, "l": l,
-    "m": m, "re": "c"}``: schema 6 writes the integer c as the scalar c + 0i.
+    Each term c e_m of [e_k, e_l] is the record
+    ``{"im":"0","k":k,"l":l,"m":m,"re":"c"}``: schema 6 writes the integer c
+    as the scalar c + 0i.
     The records of a pair share their text up to ``"m"``, and each distinct
     term (m, c) is formatted once, so the work per record runs in C.
     """
@@ -204,8 +207,8 @@ class _Constants(dict):
         # construction, the positions `structure_constants` counts
         if set(map(type, chain.from_iterable(map(dict.values, rows)))) - {int}:
             raise TypeError("cannot write a structure constant that is not an int as JSON")
-        prefixes = list(map('{"im": "0", "k": %d, "l": %d, '.__mod__, self))
-        terms = map(map, repeat(cache('"m": %d, "re": "%d"}'.__mod__)), map(dict.items, rows))
+        prefixes = list(map('{"im":"0","k":%d,"l":%d,'.__mod__, self))
+        terms = map(map, repeat(cache('"m":%d,"re":"%d"}'.__mod__)), map(dict.items, rows))
         # each pair's records, less the prefix of its first
         pairs = map(str.join, map(comma.__add__, prefixes), terms)
         return comma.join(map(str.__add__, prefixes, pairs))
@@ -216,10 +219,10 @@ def _json_text(value, newline: str = "\n") -> list[str]:
 
     The pieces join to exactly ``json.dumps(value, indent=2, sort_keys=True)``,
     except that each dict that is an item of a list is on one line, exactly
-    ``json.dumps(item, sort_keys=True)``; ``newline=""`` writes all of
-    ``value`` that way.  A ``_Constants`` value is written as its records
-    (``_Constants.text``).  A list is joined into one piece; a dict passes
-    its values' pieces on uncopied.
+    ``json.dumps(item, sort_keys=True, separators=(",", ":"))``;
+    ``newline=""`` writes all of ``value`` that way.  A ``_Constants`` value
+    is written as its records (``_Constants.text``).  A list is joined into
+    one piece; a dict passes its values' pieces on uncopied.
 
     Only ``dict`` with ``str`` keys, ``list``, ``_Constants``,
     ``str``, ``int``, ``bool`` and ``None`` are written; any other type,
@@ -238,12 +241,13 @@ def _json_text(value, newline: str = "\n") -> list[str]:
     if not value:
         return ["{}" if kind is dict else "[]"]
     inner = newline and newline + "  "
-    comma = "," + (inner or " ")
+    comma = "," + inner
+    colon = ": " if newline else ":"
     if kind is dict:
         pieces = []
         prefix = "{" + inner
         for k in sorted(value):
-            pieces.append(prefix + _quote(k) + ": ")
+            pieces.append(prefix + _quote(k) + colon)
             pieces += _json_text(value[k], inner)
             prefix = comma
         pieces.append(newline + "}")

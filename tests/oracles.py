@@ -412,11 +412,11 @@ def equal_lift_pairs(ambient) -> list[tuple[int, int, tuple[int, ...], tuple[int
 
 
 def report_layout(value, indent: str = "") -> str:
-    """The schema 4 layout of a JSON value, from ``json.dumps`` alone.
+    """The schema 10 layout of a JSON value, from ``json.dumps`` alone.
 
     ``json.dumps(value, indent=2, sort_keys=True)``, except that each dict
     that is an item of a list is written on one line, as
-    ``json.dumps(item, sort_keys=True)``.
+    ``json.dumps(item, sort_keys=True, separators=(",", ":"))``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -424,7 +424,9 @@ def report_layout(value, indent: str = "") -> str:
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
         items = [
-            json.dumps(v, sort_keys=True) if isinstance(v, dict) else report_layout(v, inner)
+            json.dumps(v, sort_keys=True, separators=(",", ":"))
+            if isinstance(v, dict)
+            else report_layout(v, inner)
             for v in value
         ]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"

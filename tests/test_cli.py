@@ -25,7 +25,7 @@ from plesken_lab import (
     canonical_basis, element_to_json, group_from_name, lie_bracket, parse_element,
     structure_constants, subgroup_category,
 )
-from plesken_lab.cli import _json_text, main
+from plesken_lab.cli import _Constants, _json_text, main
 from plesken_lab.errors import ParseError
 from conftest import CATALOG_SPECS, CHILD_ENV
 from oracles import hom_from_generator_images, report_layout, span
@@ -46,7 +46,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "9"
+    assert report["schema_version"] == "10"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -230,6 +230,26 @@ def test_functor_check_maps_each_element_of_the_ambient_group_once(capsys, monke
     assert code == 0
     assert len(calls) == 6
     assert {g for x in calls for g in x.coeffs} == set(range(6))
+
+
+def test_grep_finds_the_one_failing_law_row(capsys, monkeypatch):
+    # README: `grep '"ok":false'` finds a whole failing row, so with one composition row
+    # made to fail, exactly one line matches, and it parses to that row
+    right = functor.check_functor_laws
+
+    def one_fails(category):
+        report = right(category)
+        rows = list(report.composition)
+        rows[5] = rows[5]._replace(ok=False)
+        return report._replace(composition=tuple(rows))
+
+    monkeypatch.setattr(functor, "check_functor_laws", one_fails)
+    code, out = run_cli(capsys, "functor", "check", "--ambient", "S3")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if '"ok":false' in line]
+    failing = json.loads(out)["payload"]["composition_law"][5]
+    assert failing["ok"] is False
+    assert json.loads(line.strip().removesuffix(",")) == failing
 
 
 def test_seed_flag_is_a_usage_error(capsys):
@@ -455,14 +475,15 @@ def _full_image_classes(payload: dict) -> None:
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 9 wrote each counterexample member as its generator images,
-    schema 8 wrote `check`'s object-map block as one verdict, schema 7
-    wrote the functor records once per table, pair or triple, schema 6
-    dropped the `"format": "json"` echo line, schema 5 the
-    `"convention": "literal"` one and checked the object map under both
-    conventions, schema 4 wrote each dict item of a list on one line, schema
-    3 dropped the `"seed": 0` echo line and made `check`'s object-map block
-    exact, and schema 2 changed only the counterexample payload.  So every
+    Schema 10 wrote each record with no space after its `,` and `:`,
+    schema 9 each counterexample member as its generator images, schema 8
+    `check`'s object-map block as one verdict, schema 7 the functor records
+    once per table, pair or triple, schema 6 dropped the `"format": "json"`
+    echo line, schema 5 the `"convention": "literal"` one and checked the
+    object map under both conventions, schema 4 wrote each dict item of a
+    list on one line, schema 3 dropped the `"seed": 0` echo line and made
+    `check`'s object-map block exact, and schema 2 changed only the
+    counterexample payload.  So every
     counterexample report gets its full image tables back
     (`_full_image_classes`), every functor report its object rows
     (`_expand_to_objects`), every report is re-rendered with `indent=2` and
@@ -477,7 +498,7 @@ def _frozen_form(command: str, out: str) -> str:
     if command.startswith("functor "):
         _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "9"\n}\n'
+    tail = '\n  "schema_version": "10"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -536,7 +557,7 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 138_879, "lie_sc": 3_432_822, "functor_laws": 88_302}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 112_969, "lie_sc": 2_904_057, "functor_laws": 76_908}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):
@@ -705,6 +726,43 @@ _json_values = st.recursive(
 @example([{"generators": [1], "images": [[1], [2]], "source": 1, "target": 1}])
 def test_json_text_matches_json_dumps(value):
     assert _written(value) == report_layout(value)
+
+
+# sparse structure-constant tables {(k, l): {m: c}}: k < l, indices of up to four digits
+_sc_tables = st.dictionaries(
+    st.tuples(st.integers(0, 9999), st.integers(0, 9999)).filter(lambda kl: kl[0] < kl[1]),
+    st.dictionaries(st.integers(0, 9999), st.sampled_from([-2, -1, 1, 2]), min_size=1),
+)
+_SC_COMMA = ",\n    "  # between the records of a report's `sc` list
+
+
+@given(_sc_tables)
+@example({})
+@example({(0, 4): {5: 1, 6: -1}, (12, 345): {6789: -2}, (3, 7): {0: 2}})
+def test_constants_write_each_record_as_compact_json_in_table_order(table):
+    text = _Constants(table).text(_SC_COMMA)
+    written = text.split(_SC_COMMA) if text else []
+    records = [
+        {"im": "0", "k": k, "l": l, "m": m, "re": str(c)}
+        for (k, l), row in table.items()
+        for m, c in row.items()
+    ]
+    assert written == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    assert [json.loads(line) for line in written] == records
+
+
+_NOT_INTS = st.sampled_from([True, False, 1.0, -2.0, Fraction(3, 2), Fraction(2)])
+
+
+@given(_sc_tables.filter(bool), _NOT_INTS, st.data())
+def test_constants_refuse_a_value_that_is_not_an_int(table, c, data):
+    # `%d` would write each of these as an int
+    pair = data.draw(st.sampled_from(sorted(table)))
+    m = data.draw(st.sampled_from(sorted(table[pair])))
+    bad = {kl: dict(row) for kl, row in table.items()}
+    bad[pair][m] = c
+    with pytest.raises(TypeError, match="not an int"):
+        _Constants(bad).text(_SC_COMMA)
 
 
 @pytest.mark.parametrize("value", [

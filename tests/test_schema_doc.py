@@ -13,8 +13,12 @@ from plesken_lab.cli import SCHEMA_VERSION, main
 SCHEMA = (Path(__file__).resolve().parents[1] / "docs" / "schema.md").read_text()
 
 
+def json_texts(text: str) -> list[str]:
+    return re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)
+
+
 def json_blocks(text: str) -> list:
-    return [json.loads(block) for block in re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)]
+    return [json.loads(block) for block in json_texts(text)]
 
 
 def section(heading: str) -> str:
@@ -33,6 +37,20 @@ def payload(*argv: str) -> dict:
 def test_envelope_example_names_the_schema_version():
     (envelope,) = json_blocks(section("## Report envelope"))
     assert envelope["schema_version"] == SCHEMA_VERSION
+
+
+def test_example_records_are_in_the_written_layout():
+    # a record is an object that is an item of an array: the CLI writes each on a line
+    # of its own, with no space after its `,` and `:`
+    lines = [line.strip() for block in json_texts(SCHEMA) for line in block.splitlines()]
+    assert not [line for line in lines if "[{" in line]  # a record after its key
+    records = [
+        line.removesuffix(",") for line in lines
+        if line.startswith("{") and line.removesuffix(",").endswith("}")
+    ]
+    assert len(records) >= 10
+    for record in records:
+        assert record == json.dumps(json.loads(record), sort_keys=True, separators=(",", ":"))
 
 
 def test_functor_examples_carry_the_keys_the_cli_writes():
