@@ -22,7 +22,7 @@ from .groups import GroupSpec, build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "10"
+SCHEMA_VERSION = "11"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1

@@ -412,7 +412,7 @@ def equal_lift_pairs(ambient) -> list[tuple[int, int, tuple[int, ...], tuple[int
 
 
 def report_layout(value, indent: str = "") -> str:
-    """The schema 10 layout of a JSON value, from ``json.dumps`` alone.
+    """The report layout of a JSON value (schema 10 on), from ``json.dumps`` alone.
 
     ``json.dumps(value, indent=2, sort_keys=True)``, except that each dict
     that is an item of a list is written on one line, as

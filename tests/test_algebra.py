@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from plesken_lab import (
     AlgebraElement,
+    FiniteGroup,
     GroupHom,
     GroupMismatch,
     IndexOutOfRange,
@@ -52,6 +53,7 @@ def test_scalar_division_inverts_multiplication(a):
 def test_scalar_basics():
     assert Scalar(1, 1) * Scalar(1, -1) == Scalar(2)
     assert I * I == -ONE
+    assert 1 - Scalar(2) == -ONE  # int - Scalar, by Scalar.__rsub__
     assert not ZERO
     assert str(Scalar(Fraction(-3, 2))) == "-3/2"
     assert str(Scalar(0, 1)) == "i"
@@ -225,6 +227,8 @@ def test_convolve_examples(catalog):
     e = AlgebraElement.basis(S3, S3.identity)
     z = parse_element(S3, "(12) + 2*(123)")
     assert convolve(e, z) == z
+    w = parse_element(S3, "(123)")
+    assert z * w == convolve(z, w) != convolve(w, z)  # `*` of two elements convolves
     for g in range(S3.order):
         gterm = AlgebraElement.basis(S3, g)
         ginv = AlgebraElement.basis(S3, S3.inv[g])
@@ -251,6 +255,8 @@ def test_group_mismatch(catalog):
     for op in (operator.add, operator.sub, convolve, lie_bracket):
         with pytest.raises(GroupMismatch):
             op(x, y)
+    with pytest.raises(GroupMismatch, match="^element does not live in the lift's domain$"):
+        lift_hom_bar(identity_hom(catalog["C3"]))(y)
 
 
 def test_bracket_is_bilinear_and_alternating(catalog):
@@ -375,6 +381,8 @@ def test_parse_element_error_messages(catalog):
         ("(2*3)*a", "cannot parse coefficient '(2*3)'"),
         ("(1)(2)*a", "cannot parse coefficient '(1)(2)'"),
         ("2*(", "unbalanced parentheses in '2*('"),
+        ("a)", "unbalanced parentheses in 'a)'"),
+        ("a)(a", "unbalanced parentheses in 'a)(a'"),  # a ')' is refused where it closes
         ("2*", "missing element label in term '2*'"),
         ("a++a", "missing term in 'a++a'"),
     ]:
@@ -395,6 +403,10 @@ def test_element_json_round_trip(catalog):
             {"elem": "a^2", "re": "0", "im": "-1"},
         ],
     }
+    # a group built from a table has no spec to name it by
+    untitled = AlgebraElement(FiniteGroup(C3.cayley), {1: 1})
+    with pytest.raises(ValueError, match="^only groups built from a spec can be serialized$"):
+        element_to_json(untitled)
 
 
 def test_random_element_is_seed_deterministic(catalog):

@@ -46,7 +46,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "10"
+    assert report["schema_version"] == "11"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -234,13 +234,13 @@ def test_functor_check_maps_each_element_of_the_ambient_group_once(capsys, monke
 
 def test_grep_finds_the_one_failing_law_row(capsys, monkeypatch):
     # README: `grep '"ok":false'` finds a whole failing row, so with one composition row
-    # made to fail, exactly one line matches, and it parses to that row
+    # made to fail, exactly one line matches, and it parses to that row and its middles
     right = functor.check_functor_laws
 
     def one_fails(category):
         report = right(category)
         rows = list(report.composition)
-        rows[5] = rows[5]._replace(ok=False)
+        rows[5] = rows[5]._replace(failing_middles=[0, 2], ok=False)
         return report._replace(composition=tuple(rows))
 
     monkeypatch.setattr(functor, "check_functor_laws", one_fails)
@@ -248,8 +248,28 @@ def test_grep_finds_the_one_failing_law_row(capsys, monkeypatch):
     assert code == 1
     (line,) = [line for line in out.splitlines() if '"ok":false' in line]
     failing = json.loads(out)["payload"]["composition_law"][5]
-    assert failing["ok"] is False
+    assert failing["ok"] is False and failing["failing_middles"] == [0, 2]
     assert json.loads(line.strip().removesuffix(",")) == failing
+
+
+def test_functor_full_exits_1_on_a_pair_that_is_not_full(capsys, monkeypatch):
+    # check_full cannot fail yet, as each distinct lift is read from a morphism, so one
+    # pair is made to fail: the report says so, exits 1, and grep finds that one row
+    right = functor.check_full
+
+    def one_fails(category):
+        report = right(category)
+        pairs = list(report.pairs)
+        pairs[3] = pairs[3]._replace(witnessed=pairs[3].witnessed - 1, ok=False)
+        return report._replace(pairs=tuple(pairs))
+
+    monkeypatch.setattr(functor, "check_full", one_fails)
+    code, out = run_cli(capsys, "functor", "full", "--ambient", "S3")
+    report = json.loads(out)
+    assert code == 1 == report["exit_code"]
+    assert report["payload"]["all_full"] is False
+    (line,) = [line for line in out.splitlines() if '"ok":false' in line]
+    assert json.loads(line.strip().removesuffix(",")) == report["payload"]["pairs"][3]
 
 
 def test_seed_flag_is_a_usage_error(capsys):
@@ -422,24 +442,33 @@ OBJECT_MAP_SAMPLED = (
 def _expand_to_objects(payload: dict) -> None:
     """Rewrite a functor payload as schema 6 wrote it: a row per object, pair or triple.
 
-    Each table row is copied to every object pair or triple on its tables,
-    with the object indices in place of the table ids; a composition row's
-    `pairs` is divided by its `triples` back to |Hom(i, j)|·|Hom(j, k)|.
+    Each table or table pair row is copied to every object or object pair on
+    its tables, with the object indices in place of the table ids.  A
+    composition row (a, c) becomes a row per object triple (i, j, k) on
+    tables a and c: its `pairs` is |Hom(a, b)|·|Hom(b, c)| for the table b of
+    j, read from the ambient's subgroup category, and it holds unless b is
+    among the row's `failing_middles`.  The table pair rows' `pairs` must
+    sum those counts, and their `ok` must say that no middle fails.
     """
     table = [obj.pop("table") for obj in payload["objects"]]
     objects = range(len(table))
     if "identity_law" in payload:
         ok = {r["table"]: r["ok"] for r in payload["identity_law"]}
         payload["identity_law"] = [{"object": i, "ok": ok[table[i]]} for i in objects]
-        rows = {(r["source"], r["middle"], r["target"]): r for r in payload["composition_law"]}
+        homsets = subgroup_category(group_from_name(payload["ambient"])).homsets
+        rows = {(r["source"], r["target"]): r for r in payload["composition_law"]}
+        pairs = dict.fromkeys(rows, 0)
         payload["composition_law"] = []
         for i, j, k in product(objects, repeat=3):
-            r = rows[table[i], table[j], table[k]]
-            pairs, rest = divmod(r["pairs"], r["triples"])
-            assert rest == 0, r
-            payload["composition_law"].append(
-                {"source": i, "middle": j, "target": k, "pairs": pairs, "ok": r["ok"]}
-            )
+            a, b, c = table[i], table[j], table[k]
+            n = len(homsets[a, b]) * len(homsets[b, c])
+            pairs[a, c] += n
+            payload["composition_law"].append({
+                "source": i, "middle": j, "target": k, "pairs": n,
+                "ok": b not in rows[a, c]["failing_middles"],
+            })
+        assert pairs == {ac: r["pairs"] for ac, r in rows.items()}
+        assert all(r["ok"] is (r["failing_middles"] == []) for r in rows.values())
     if "pairs" in payload:
         rows = {(r["source"], r["target"]): r for r in payload["pairs"]}
         payload["pairs"] = [
@@ -475,7 +504,8 @@ def _full_image_classes(payload: dict) -> None:
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 10 wrote each record with no space after its `,` and `:`,
+    Schema 11 wrote the composition law once per table pair, schema 10
+    each record with no space after its `,` and `:`,
     schema 9 each counterexample member as its generator images, schema 8
     `check`'s object-map block as one verdict, schema 7 the functor records
     once per table, pair or triple, schema 6 dropped the `"format": "json"`
@@ -498,7 +528,7 @@ def _frozen_form(command: str, out: str) -> str:
     if command.startswith("functor "):
         _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "10"\n}\n'
+    tail = '\n  "schema_version": "11"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -557,7 +587,7 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 112_969, "lie_sc": 2_904_057, "functor_laws": 76_908}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 109_378, "lie_sc": 2_904_057, "functor_laws": 47_119}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):
@@ -721,7 +751,7 @@ _json_values = st.recursive(
 @example([{"k": [[1]], "l": {"m": [2]}}, {"k": [[1]], "l": {"m": [2]}}])
 # the record shapes of the reports: a hom, a composition row, an object and a class
 @example({"homs": [{"image": [0, 2, 1]}, {"image": [0, 1, 2]}]})
-@example([{"middle": 1, "ok": True, "pairs": 12, "source": 0, "target": 2, "triples": 4}])
+@example([{"failing_middles": [1, 3], "ok": False, "pairs": 12, "source": 0, "target": 2}])
 @example([{"elements": ["e", "(12)"], "index": 1, "order": 2, "table": 1}])
 @example([{"generators": [1], "images": [[1], [2]], "source": 1, "target": 1}])
 def test_json_text_matches_json_dumps(value):

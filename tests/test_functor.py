@@ -142,16 +142,29 @@ def test_functor_laws_hold(catalog, spec):
     assert report.all_hold
     assert all(r.ok for r in report.identity)
     assert all(r.ok for r in report.composition)
+    # one row per ordered table pair, none naming a failing middle table
+    tables = len(set(subgroup_category(G).table))
+    assert [r[:2] for r in report.composition] == list(product(range(tables), repeat=2))
+    assert all(r.failing_middles == [] for r in report.composition)
 
 
 def _object_rows(C, report):
-    """(source, middle, target, pairs, ok) for every object triple, read from its table row."""
-    rows = {(r.source, r.middle, r.target): r for r in report.composition}
+    """(source, middle, target, pairs, ok) for every object triple, read from its table pair row.
+
+    A row's ``pairs`` must be the sum of its object triples' pairs, and its
+    ``ok`` must say that it names no failing middle table.
+    """
+    rows = {(r.source, r.target): r for r in report.composition}
+    pairs = dict.fromkeys(rows, 0)
     out = []
     for i, j, k in product(range(len(C.objects)), repeat=3):
-        r = rows[C.table[i], C.table[j], C.table[k]]
-        assert r.pairs % r.triples == 0
-        out.append((i, j, k, r.pairs // r.triples, r.ok))
+        a, b, c = C.table[i], C.table[j], C.table[k]
+        n = len(C.homsets[a, b]) * len(C.homsets[b, c])
+        pairs[a, c] += n
+        out.append((i, j, k, n, b not in rows[a, c].failing_middles))
+    assert pairs == {ac: r.pairs for ac, r in rows.items()}
+    for r in rows.values():
+        assert r.ok is (r.failing_middles == []) and r.failing_middles == sorted(r.failing_middles)
     return out
 
 
@@ -160,12 +173,11 @@ def test_composition_law_matches_the_pairwise_reference(catalog):
     for spec, G in catalog.items():
         C = subgroup_category(G)
         report = check_functor_laws(C)
-        tables, n = len(C.bases), len(C.objects)
-        assert [r[:3] for r in report.composition] == list(product(range(tables), repeat=3))
-        assert sum(r.triples for r in report.composition) == n**3, spec
+        tables = len(C.bases)
+        assert [r[:2] for r in report.composition] == list(product(range(tables), repeat=2))
         assert _object_rows(C, report) == composition_law_by_pairs(C), spec
         rows[spec] = len(report.composition)
-    assert rows["S4"] == 13**3  # 30 objects on 13 tables: 2,197 rows for 27,000 triples
+    assert rows["S4"] == 13**2  # 30 objects on 13 tables: 169 rows for 27,000 triples
 
 
 def _check_against_reference(C):
@@ -188,7 +200,9 @@ def _touching(C, a, b):
 
 
 def _failing(report):
-    return {(r.source, r.middle, r.target) for r in report.composition if not r.ok}
+    """The (source, middle, target) table triples that fail, read from each row's middles."""
+    assert all(r.ok is (r.failing_middles == []) for r in report.composition)
+    return {(r.source, b, r.target) for r in report.composition for b in r.failing_middles}
 
 
 def _cli_failing(monkeypatch, capsys, C):
@@ -196,7 +210,8 @@ def _cli_failing(monkeypatch, capsys, C):
     monkeypatch.setattr(functor, "subgroup_category", lambda ambient: C)
     code = main(["functor", "check", "--ambient", "S3"])
     rows = json.loads(capsys.readouterr().out)["payload"]["composition_law"]
-    return code, {(r["source"], r["middle"], r["target"]) for r in rows if not r["ok"]}
+    assert all(r["ok"] is (r["failing_middles"] == []) for r in rows)
+    return code, {(r["source"], b, r["target"]) for r in rows for b in r["failing_middles"]}
 
 
 def _top_automorphism(C):

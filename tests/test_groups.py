@@ -121,6 +121,13 @@ def test_invalid_spec_parameters(kind, param):
         GroupSpec(kind, param)
 
 
+def test_spec_refusals_name_their_fault():
+    with pytest.raises(InvalidSpec, match="^klein4 takes no parameter$"):
+        GroupSpec("klein4", 3)
+    with pytest.raises(InvalidSpec, match="^unknown group kind 'quaternion'$"):
+        GroupSpec("quaternion", 2)
+
+
 @pytest.mark.parametrize("kind,param", [
     ("cyclic", 6), ("symmetric", 4), ("dihedral", 5), ("heisenberg", 3), ("klein4", None),
     ("cyclic", True),  # read as 1, the way the library reads every index: prints C1
@@ -569,6 +576,14 @@ def test_group_order_guard(monkeypatch):
     for spec, order in (("C7", "7"), ("D4", "8"), ("S4", "4!"), ("H3", "27")):
         with pytest.raises(SearchTooLarge, match=f"group {spec} has order {order},"):
             group_from_name(spec)
+    # an order with more digits than str() writes is shown from its parameter
+    n = 10 ** (sys.get_int_max_str_digits() - 1)  # as many digits as str() writes
+    for spec, shown in (
+        (GroupSpec("dihedral", 9 * n), f"2*{9 * n}"), (GroupSpec("heisenberg", n), f"{n}^3"),
+    ):
+        with pytest.raises(SearchTooLarge) as raised:
+            groups.build_group(spec)
+        assert str(raised.value) == f"group {spec} has order {shown}, above the limit 6"
 
 
 def test_subgroup_order_guard():
@@ -592,6 +607,8 @@ def _cyclic_with_swapped_intercalate(n: int) -> list[list[int]]:
 
 
 def test_direct_table_construction_rejects_bad_tables():
+    with pytest.raises(ValueError, match="^a group needs at least the identity element$"):
+        FiniteGroup([])
     with pytest.raises(ValueError, match="permutation"):
         FiniteGroup([[0, 1], [1, 1]])  # repeated entry in a row
     with pytest.raises(ValueError, match="two-sided identity"):
@@ -622,6 +639,8 @@ def test_repeated_labels_are_refused(catalog):
     C2, C3 = catalog["C2"], catalog["C3"]
     with pytest.raises(ValueError, match="^label 'e' is at positions 0 and 1$"):
         FiniteGroup(C2.cayley, labels=["e", "e"])
+    with pytest.raises(ValueError, match="^labels length does not match group order$"):
+        FiniteGroup(C2.cayley, labels=["e"])
     with pytest.raises(ValueError, match="^label '1' is at positions 1 and 2$"):
         FiniteGroup(C3.cayley, labels=["0", 1, "1"])  # labels are read as text
 
@@ -793,6 +812,9 @@ def test_a_group_is_its_cayley_table(catalog):
     K4 = catalog["K4"]
     a, b, c = (S for S in enumerate_subgroups(K4) if S.order == 2)
     assert a == b == c and hash(a) == hash(b) == hash(c)
+    # a group is not equal to anything but a group, and leaves the question to the other side
+    C3 = catalog["C3"]
+    assert C3.__eq__(3) is NotImplemented and (C3 == 3) is False
     assert [S.embedding for S in (a, b, c)] == [(0, 1), (0, 2), (0, 3)]
     assert [S.labels for S in (a, b, c)] == [("e", "a"), ("e", "b"), ("e", "c")]
     total = AlgebraElement(a, {1: 1}) + AlgebraElement(b, {1: 1})

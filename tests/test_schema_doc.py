@@ -85,3 +85,16 @@ def test_every_schema_bump_says_what_changed():
     versions = range(2, int(SCHEMA_VERSION) + 1)
     missing = [v for v in versions if f"## Changes from schema {v - 1}" not in headings]
     assert missing == []
+
+
+def test_newest_size_table_gives_the_bytes_the_cli_writes():
+    # each command in the size table of the newest "Changes from schema N" section,
+    # run through the CLI, writes exactly the byte count of the table's last column
+    newest = section(f"## Changes from schema {int(SCHEMA_VERSION) - 1}")
+    rows = re.findall(r"^\| `([^`]+)` \|.*\| ([\d,]+) \|$", newest, re.M)
+    assert len(rows) >= 3
+    for command, size in rows:
+        with redirect_stdout(io.StringIO()) as out:
+            main(command.split())
+        written = len(out.getvalue().encode())
+        assert written == int(size.replace(",", "")), command
