@@ -44,7 +44,6 @@ _MODULE_NAMES = {
     "groups": (
         "FiniteGroup",
         "GroupHom",
-        "GroupSpec",
         "build_group",
         "compose_homs",
         "enumerate_homs",

@@ -329,7 +329,7 @@ def element_to_json(x: AlgebraElement) -> dict:
     if x.group.spec is None:
         raise ValueError("only groups built from a spec can be serialized")
     return {
-        "group": str(x.group.spec),
+        "group": x.group.spec,
         "terms": [
             {"elem": x.group.labels[g], "re": str(c.re), "im": str(c.im)}
             for g, c in x.terms()

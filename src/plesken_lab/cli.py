@@ -17,7 +17,7 @@ from functools import cache
 from itertools import chain, repeat
 
 from .errors import InvalidSpec, ParseError, SearchTooLarge
-from .groups import GroupSpec, build_group, enumerate_homs
+from .groups import build_group, enumerate_homs
 
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
@@ -66,10 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_group(args) -> tuple[dict, int]:
-    spec = GroupSpec.parse(args.spec)
-    G = build_group(spec)
+    G = build_group(args.spec)
     payload = {
-        "spec": str(spec),
+        "spec": G.spec,
         "order": G.order,
         "identity": G.identity,
         "involution_count": G.involution_count(),
@@ -81,8 +80,7 @@ def _run_group(args) -> tuple[dict, int]:
 def _run_bracket(args) -> tuple[dict, int]:
     from .algebra import element_to_json, lie_bracket, parse_element
 
-    spec = GroupSpec.parse(args.spec)
-    G = build_group(spec)
+    G = build_group(args.spec)
     elements = []
     for name in ("x", "y"):
         try:
@@ -95,10 +93,9 @@ def _run_bracket(args) -> tuple[dict, int]:
 def _run_plesken(args) -> tuple[dict, int]:
     from .plesken import canonical_basis, structure_constants
 
-    spec = GroupSpec.parse(args.spec)
-    G = build_group(spec)
+    G = build_group(args.spec)
     basis = canonical_basis(G)
-    payload = {"group": str(spec), "dim": basis.dimension}
+    payload = {"group": G.spec, "dim": basis.dimension}
     if args.what in ("basis", "sc"):
         payload["basis"] = [G.labels[g] for g in basis.reps]
     if args.what == "sc":
@@ -107,13 +104,14 @@ def _run_plesken(args) -> tuple[dict, int]:
 
 
 def _run_homs(args) -> tuple[dict, int]:
-    dom_spec = GroupSpec.parse(args.domain)
-    cod_spec = GroupSpec.parse(args.codomain)
-    domain = build_group(dom_spec)
-    homs = enumerate_homs(domain, domain if cod_spec == dom_spec else build_group(cod_spec))
+    domain = build_group(args.domain)
+    # a name that reads as the domain's up to ASCII case and outer spaces is built once
+    same = args.codomain.isascii() and args.codomain.strip().upper() == domain.spec
+    codomain = domain if same else build_group(args.codomain)
+    homs = enumerate_homs(domain, codomain)
     payload = {
-        "domain": str(dom_spec),
-        "codomain": str(cod_spec),
+        "domain": domain.spec,
+        "codomain": codomain.spec,
         "count": len(homs),
         "homs": [{"image": list(f.image)} for f in homs],
     }
@@ -140,15 +138,14 @@ def _run_functor(args) -> tuple[dict, int]:
         subgroup_category,
     )
 
-    spec = GroupSpec.parse(args.ambient)
-    ambient = build_group(spec)
+    ambient = build_group(args.ambient)
     category = subgroup_category(ambient)
     table = category.table  # every other record names tables, for all the objects on them
     objects = [
         {"index": i, "order": obj.order, "elements": list(obj.labels), "table": table[i]}
         for i, obj in enumerate(category.objects)
     ]
-    payload: dict = {"ambient": str(spec), "objects": objects}
+    payload: dict = {"ambient": ambient.spec, "objects": objects}
     code = EXIT_OK
     if args.action == "check":
         report = check_functor_laws(category)

@@ -26,9 +26,7 @@ SUBGROUP_ORDER_LIMIT = 64
 HOM_SEARCH_LIMIT = 10**8  # table entries filled: choices of generator images * |G|
 GROUP_ORDER_LIMIT = 2048  # a table holds order**2 entries
 
-_SPEC_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral", "H": "heisenberg"}
-_KIND_LETTERS = {v: k for k, v in _SPEC_KINDS.items()}
-_SPEC_RE = re.compile(r"([CSDH])([0-9]+)", re.IGNORECASE)
+_SPEC_RE = re.compile(r"([CSDH])([0-9]+)", re.IGNORECASE | re.ASCII)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -88,52 +86,6 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class GroupSpec(_Frozen):
-    """Names one group from the built-in families."""
-
-    __slots__ = ("kind", "param")
-    _key = attrgetter(*__slots__)
-
-    def __init__(self, kind: str, param: int | None = None) -> None:
-        if kind == "klein4":
-            if param is not None:
-                raise InvalidSpec("klein4 takes no parameter")
-        elif kind not in _KIND_LETTERS:
-            raise InvalidSpec(f"unknown group kind {kind!r}")
-        elif not hasattr(param, "__index__") or (param := index(param)) < 1:
-            raise InvalidSpec(f"{kind} needs a positive integer parameter")
-        else:
-            try:
-                str(param)  # the spec must be writable, as GroupSpec.parse reads only such text
-            except ValueError:
-                raise InvalidSpec(f"{kind} parameter has more digits than str() writes") from None
-            if kind == "heisenberg" and param**3 <= GROUP_ORDER_LIMIT and not _is_odd_prime(param):
-                # a larger p meets build_group's order guard (exit 3), with no primality test
-                raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {param}")
-        _set(self, "kind", kind)
-        _set(self, "param", param)
-
-    @classmethod
-    def parse(cls, text: str) -> GroupSpec:
-        """Parse spec strings like ``C6``, ``S3``, ``D4``, ``K4``, ``H3`` (case-insensitive)."""
-        s = text.strip()
-        if s.upper() == "K4":
-            return cls("klein4")
-        m = _SPEC_RE.fullmatch(s)
-        if m is None:
-            raise ParseError(f"cannot parse group spec {text!r}")
-        try:
-            param = int(m.group(2))
-        except ValueError:  # more digits than int() reads
-            raise ParseError(f"cannot parse group spec {text!r}: parameter too long") from None
-        return cls(_SPEC_KINDS[m.group(1).upper()], param)
-
-    def __str__(self) -> str:
-        if self.kind == "klein4":
-            return "K4"
-        return f"{_KIND_LETTERS[self.kind]}{self.param}"
-
-
 def _validate_table(G: FiniteGroup) -> None:
     """Set ``G.identity``, ``inv`` and ``generators``, checking that ``G``'s rows make a group.
 
@@ -174,9 +126,10 @@ class FiniteGroup(_Frozen):
     permutation of ``0..n-1``; ``_validate_table`` checks the rest and stores
     the greedy ``generators``.  Immutable after, as every ``_Frozen`` value is.
     The constructor takes only what it checks, so ``spec``, ``ambient`` and
-    ``embedding`` start as None: ``build_group`` sets the ``spec`` of the group
-    it names, and ``enumerate_subgroups`` sets each subgroup's ``ambient`` and
-    ``embedding``, the members' indices in the ambient group.
+    ``embedding`` start as None: ``build_group`` sets ``spec`` to the canonical
+    name of the group it names (``"S3"``), and ``enumerate_subgroups`` sets
+    each subgroup's ``ambient`` and ``embedding``, the members' indices in the
+    ambient group.
 
     A group is its Cayley table: two groups with one table are equal and hash
     alike.  ``labels``, ``spec``, ``ambient`` and ``embedding`` describe a
@@ -268,58 +221,61 @@ class FiniteGroup(_Frozen):
         return hash((self.order, self.identity, self.cayley[0]))
 
     def __repr__(self) -> str:
-        name = str(self.spec) if self.spec is not None else f"order-{self.order} group"
-        return f"FiniteGroup({name})"
+        return f"FiniteGroup({self.spec or f'order-{self.order} group'})"
 
 
 # ---------------------------------------------------------------------------
 # built-in families
 
 
-def _check_group_order(spec: GroupSpec) -> None:
-    """Raise ``SearchTooLarge`` if ``spec`` names a group above ``GROUP_ORDER_LIMIT``.
+def build_group(name: str) -> FiniteGroup:
+    """The group named ``C<n>``, ``S<n>``, ``D<n>``, ``K4`` or ``H<p>``, in any case.
 
-    Works from the spec alone; for ``S<n>`` it multiplies ``n!`` out only
-    until the limit is passed.
+    Outer spaces are ignored, and ``spec`` is set to the canonical name.  Text
+    that is no such name raises ``ParseError``; ``n < 1``, or an ``H<p>`` whose
+    ``p`` is not an odd prime, raises ``InvalidSpec``.  An order above
+    ``GROUP_ORDER_LIMIT`` raises ``SearchTooLarge`` before any table is built,
+    and before the primality test: the order is worked out from ``n`` alone,
+    and ``S<n>`` multiplies ``n!`` out only until the limit is passed.
     """
-    n = spec.param
-    if spec.kind == "symmetric":
-        order = 1
+    text = name.strip()
+    if text.upper() == "K4":
+        letter, n = "K", 4
+    elif m := _SPEC_RE.fullmatch(text):
+        letter = m.group(1).upper()
+        try:
+            n = int(m.group(2))
+        except ValueError:  # more digits than int() reads
+            raise ParseError(f"cannot parse group spec {name!r}: parameter too long") from None
+    else:
+        raise ParseError(f"cannot parse group spec {name!r}")
+    kind, builder, order, shown = {
+        "C": ("cyclic", _cyclic_group, n, "{}"),
+        "S": ("symmetric", _symmetric_group, 1, "{}!"),
+        "D": ("dihedral", _dihedral_group, 2 * n, "2*{}"),
+        "H": ("heisenberg", _heisenberg_group, n**3, "{}^3"),
+        "K": ("klein4", _klein_four_group, 4, "{}"),
+    }[letter]
+    if n < 1:
+        raise InvalidSpec(f"{kind} needs a positive integer parameter")
+    if letter == "S":
         for k in range(2, n + 1):
             order *= k
             if order > GROUP_ORDER_LIMIT:
                 break
-    elif spec.kind == "klein4":
-        order = 4
-    else:
-        order = {"cyclic": n, "dihedral": 2 * n, "heisenberg": n**3}[spec.kind]
+    spec = f"{letter}{n}"
     if order > GROUP_ORDER_LIMIT:
-        try:
-            shown = f"{n}!" if spec.kind == "symmetric" else str(order)
-        except ValueError:  # more digits than str() writes
-            shown = f"2*{n}" if spec.kind == "dihedral" else f"{n}^3"
         raise SearchTooLarge(
-            f"group {spec} has order {shown}, above the limit {GROUP_ORDER_LIMIT}"
+            f"group {spec} has order {shown.format(n)}, above the limit {GROUP_ORDER_LIMIT}"
         )
-
-
-def build_group(spec: GroupSpec) -> FiniteGroup:
-    """Construct and validate the group named by ``spec``."""
-    _check_group_order(spec)
-    builder = {
-        "cyclic": _cyclic_group,
-        "symmetric": _symmetric_group,
-        "dihedral": _dihedral_group,
-        "klein4": _klein_four_group,
-        "heisenberg": _heisenberg_group,
-    }[spec.kind]
-    G = builder(spec)
+    if letter == "H" and not _is_odd_prime(n):
+        raise InvalidSpec(f"heisenberg parameter must be an odd prime, got {n}")
+    G = builder(n)
     _set(G, "spec", spec)
     return G
 
 
-def group_from_name(text: str) -> FiniteGroup:
-    return build_group(GroupSpec.parse(text))
+group_from_name = build_group  # perfbench/run.py imports this name; the tracer wraps both
 
 
 def _power_label(base: str, k: int) -> str:
@@ -351,22 +307,20 @@ def _rows_by_right_multiplication(
     return map(rows.pop, range(order))
 
 
-def _cyclic_group(spec: GroupSpec) -> FiniteGroup:
-    n = spec.param
+def _cyclic_group(n: int) -> FiniteGroup:
     line = tuple(range(n)) * 2
     cayley = (line[i : i + n] for i in range(n))  # rotations share one int per value
     labels = [_power_label("a", k) for k in range(n)]
     return FiniteGroup(cayley, labels)
 
 
-def _klein_four_group(spec: GroupSpec) -> FiniteGroup:
-    cayley = [[i ^ j for j in range(4)] for i in range(4)]
+def _klein_four_group(n: int) -> FiniteGroup:
+    cayley = [[i ^ j for j in range(n)] for i in range(n)]  # n = 4: C2 x C2 as bitwise xor
     return FiniteGroup(cayley, ["e", "a", "b", "c"])
 
 
-def _dihedral_group(spec: GroupSpec) -> FiniteGroup:
+def _dihedral_group(n: int) -> FiniteGroup:
     # index = flip*n + rotation, element s^flip r^rot with s r s = r^{-1}
-    n = spec.param
     order = 2 * n
 
     def prod(i: int, j: int) -> int:
@@ -404,9 +358,8 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def _symmetric_group(spec: GroupSpec) -> FiniteGroup:
+def _symmetric_group(n: int) -> FiniteGroup:
     # elements in lexicographic one-line order; product x*y applies y first
-    n = spec.param
     perms = list(itertools.permutations(range(n)))
     position = {p: i for i, p in enumerate(perms)}
     # generated by (12) and (12...n), whose rows come from composing permutations
@@ -419,10 +372,9 @@ def _symmetric_group(spec: GroupSpec) -> FiniteGroup:
     return FiniteGroup(cayley, labels)
 
 
-def _heisenberg_group(spec: GroupSpec) -> FiniteGroup:
+def _heisenberg_group(p: int) -> FiniteGroup:
     # upper unitriangular 3x3 matrices over Z_p, encoded as (a, b, c) triples with
     # (a1, b1, c1)*(a2, b2, c2) = (a1 + a2, b1 + b2 + a1*c2, c1 + c2)
-    p = spec.param
     triples = list(itertools.product(range(p), repeat=3))
 
     def code(a: int, b: int, c: int) -> int:

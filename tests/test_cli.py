@@ -162,7 +162,7 @@ def test_homs_command(capsys):
 
 
 @pytest.mark.parametrize("domain,codomain,builds", [
-    ("S5", "S5", 1), ("s5", "S5", 1), ("S4", "S5", 2), ("C3", "C3", 1),
+    ("S5", "S5", 1), ("s5", "S5", 1), ("S4", "S5", 2), ("C3", "C3", 1), (" S5", "s5", 1),
 ])
 def test_homs_builds_a_group_named_twice_once(capsys, monkeypatch, domain, codomain, builds):
     specs = []
@@ -385,13 +385,13 @@ def test_hom_search_guard_exits_3_on_table_fills(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("spec,order", [
-    ("S8", "8!"), ("C100000", "100000"), ("H101", "1030301"),
+    ("S8", "8!"), ("C100000", "100000"), ("H101", "101^3"),
 ])
 def test_group_order_guard_exits_3_before_building(capsys, monkeypatch, spec, order):
     def refuse(built):
         raise AssertionError(f"{built} was built")
 
-    for builder in ("_cyclic_group", "_symmetric_group", "_heisenberg_group"):
+    for builder in ("_cyclic_group", "_symmetric_group", "_heisenberg_group", "_dihedral_group"):
         monkeypatch.setattr(groups, builder, refuse)
     code, report = run_json(capsys, "group", spec)
     assert code == 3 == report["exit_code"]
@@ -420,6 +420,47 @@ def test_spec_parameter_too_long_to_read_exits_2(capsys):
     code, report = run_json(capsys, "group", "C" + "9" * 5000)
     assert code == 2 == report["exit_code"]
     assert report["error"].startswith("cannot parse group spec 'C999")
+
+
+NINES = "9" * 4300  # as many digits as int() reads
+GROUP_NAMES = [  # a name, its exit code, and its canonical echo or the exact refusal
+    ("c3", 0, "C3"),
+    (" S4 ", 0, "S4"),
+    ("C06", 0, "C6"),
+    ("k4", 0, "K4"),
+    *((name, 2, f"cannot parse group spec {name!r}") for name in (
+        "", "Q8", "C", "K5", "K04", "3C", "S-1",
+        "\u017f3",  # LATIN SMALL LETTER LONG S, which folds to s outside ASCII
+    )),
+    ("C0", 2, "cyclic needs a positive integer parameter"),
+    ("H4", 2, "heisenberg parameter must be an odd prime, got 4"),
+    ("H9", 2, "heisenberg parameter must be an odd prime, got 9"),
+    ("C" + "9" * 5000, 2, f"cannot parse group spec 'C{'9' * 5000}': parameter too long"),
+    ("H13", 3, "group H13 has order 13^3, above the limit 2048"),
+    ("D1025", 3, "group D1025 has order 2*1025, above the limit 2048"),
+    ("S7", 3, "group S7 has order 7!, above the limit 2048"),
+    (f"D{NINES}", 3, f"group D{NINES} has order 2*{NINES}, above the limit 2048"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,code,text", GROUP_NAMES,
+    ids=[ascii(n) if len(n) < 9 else f"{n[0]}9x{len(n) - 1}" for n, _, _ in GROUP_NAMES],
+)
+def test_every_verb_reads_a_group_name_alike(capsys, name, code, text):
+    # every verb reads its group names with build_group; S3 is the other name of `homs`
+    if code == 0:
+        assert run_json(capsys, "group", name)[1]["payload"]["spec"] == text
+        homs = run_json(capsys, "homs", name, name.upper())[1]["payload"]
+        assert homs["domain"] == homs["codomain"] == text
+        return
+    for argv in (
+        ("group", name), ("bracket", name, "e", "e"), ("plesken", name, "dim"),
+        ("homs", name, "S3"), ("homs", "S3", name), ("functor", "full", "--ambient", name),
+    ):
+        got_code, report = run_json(capsys, *argv)
+        assert (got_code, report["exit_code"], report["error"]) == (code, code, text), argv
+        assert "payload" not in report
 
 
 def test_output_is_deterministic(capsys):

@@ -98,3 +98,27 @@ def test_newest_size_table_gives_the_bytes_the_cli_writes():
             main(command.split())
         written = len(out.getvalue().encode())
         assert written == int(size.replace(",", "")), command
+
+
+def test_group_names_the_doc_cites_exit_as_it_states():
+    # the name table of "Group specs" gives each name's exit code and its echo or error;
+    # the guard paragraph quotes refusals, each exit 3; a name cited anywhere else in the
+    # two passages is a canonical name that `group` echoes as it is
+    exits = section("### Exit codes")
+    guard = exits[exits.index("The group-order guard") :]
+    specs = section("### Group specs")
+    stated = {name: (int(code), text) for name, code, text in re.findall(
+        r"^\| `([^`]+)` \| (\d) \| `([^`]+)` \|$", specs, re.M
+    )}
+    stated.update(
+        (name, (3, text)) for text, name in re.findall(r'"(group (\w+) has order [^"]+)"', guard)
+    )
+    assert len(stated) >= 10 and {2, 3} < {code for code, _ in stated.values()}
+    for name in re.findall(r"`(\w\d+)`", specs + guard):
+        stated.setdefault(name, (0, name))
+    for name, (code, text) in stated.items():
+        with redirect_stdout(io.StringIO()) as out:
+            written = main(["group", name])
+        report = json.loads(out.getvalue())
+        got = report["payload"]["spec"] if written == 0 else report["error"]
+        assert (written, got) == (code, text), name
