@@ -2,21 +2,25 @@
 
 Every group lives on element indices ``0..order-1`` with a fully validated
 Cayley table, so all downstream algebra reduces to table lookups plus exact
-scalar arithmetic.
+scalar arithmetic.  Each built-in family, and each subgroup, gives only its
+elements, generators and product to ``_generated``, which computes the
+generators' rows, grows every other row from them, and hands the table to the
+one checked constructor, ``FiniteGroup``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from math import gcd, prod
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter, index, itemgetter, xor
 
 from .errors import (
     DomainMismatch,
     IndexOutOfRange,
     InvalidHom,
+    InvalidPrime,
     InvalidSpec,
     ParseError,
     SearchTooLarge,
@@ -32,11 +36,15 @@ _SPEC_RE = re.compile(r"([CSDH])([0-9]+)", re.IGNORECASE | re.ASCII)
 def _is_odd_prime(p: int) -> bool:
     """Miller-Rabin on the 13 prime bases 2..41: a few modular powers, not sqrt(p) divisions.
 
-    No composite below 3.3e24 passes every one of these bases (Sorenson and
-    Webster, Math. Comp. 86, 2017), so the answer is exact there.
+    No composite below psi_13 passes every one of these bases, and psi_13 does
+    (Sorenson and Webster, Math. Comp. 86, 2017), so the answer is exact below
+    it, and ``InvalidPrime`` is raised for an odd p from psi_13 on.
     """
     if p < 3 or p % 2 == 0:
         return False
+    psi_13 = 3317044064679887385961981
+    if p >= psi_13:
+        raise InvalidPrime(f"cannot certify {p} as prime: the test is exact only below {psi_13}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p <= bases[-1]:
         return p in bases
@@ -286,17 +294,22 @@ def _power_label(base: str, k: int) -> str:
     return f"{base}^{k}"
 
 
-def _rows_by_right_multiplication(
-    order: int, generators: list[tuple[int, tuple[int, ...]]]
-) -> Iterator[tuple[int, ...]]:
-    """Every row of a table with identity 0, grown from (s, row of s) for generators s.
+def _generated(elements, identity, generators, mul, labels) -> FiniteGroup:
+    """The group on ``elements`` under ``mul``, grown from the rows of ``generators``.
 
-    Right multiplication by s: x*s = row(x)[s] and row(x*s) = row(x)[row(s)].  All
-    rows share the int objects of the identity row, and each is dropped once read.
+    Only the generators' rows are computed with ``mul``: entry y of s's row is the
+    position of s*y.  Every other row is grown from the identity's by right
+    multiplication, x*s = row(x)[s] and row(x*s) = row(x)[row(s)], one C-level
+    lookup per entry.  All rows share the int objects of the identity's row, and
+    ``FiniteGroup`` checks each and drops it once read.
     """
-    rows = {0: tuple(range(order))}
-    steps = [(s, itemgetter(*row_s)) for s, row_s in generators]
-    stack = [0]
+    position = {x: i for i, x in enumerate(elements)}
+    n, e = len(position), position[identity]
+    steps = [
+        (position[s], itemgetter(*[position[mul(s, y)] for y in elements])) for s in generators
+    ]
+    rows = {e: tuple(range(n))}
+    stack = [e]
     while stack:
         row_x = rows[stack.pop()]
         for s, times_row_s in steps:
@@ -304,38 +317,29 @@ def _rows_by_right_multiplication(
             if xs not in rows:
                 rows[xs] = times_row_s(row_x)
                 stack.append(xs)
-    return map(rows.pop, range(order))
+    return FiniteGroup(map(rows.pop, range(n)), labels)
 
 
 def _cyclic_group(n: int) -> FiniteGroup:
-    line = tuple(range(n)) * 2
-    cayley = (line[i : i + n] for i in range(n))  # rotations share one int per value
     labels = [_power_label("a", k) for k in range(n)]
-    return FiniteGroup(cayley, labels)
+    return _generated(range(n), 0, [1 % n], lambda x, y: (x + y) % n, labels)
 
 
 def _klein_four_group(n: int) -> FiniteGroup:
-    cayley = [[i ^ j for j in range(n)] for i in range(n)]  # n = 4: C2 x C2 as bitwise xor
-    return FiniteGroup(cayley, ["e", "a", "b", "c"])
+    return _generated(range(n), 0, [1, 2], xor, ["e", "a", "b", "c"])  # n = 4: C2 x C2
 
 
 def _dihedral_group(n: int) -> FiniteGroup:
-    # index = flip*n + rotation, element s^flip r^rot with s r s = r^{-1}
-    order = 2 * n
+    # pairs (f, k) for s^f r^k, generated by r and s with s r s = r^{-1}
+    elements = [(f, k) for f in range(2) for k in range(n)]
 
-    def prod(i: int, j: int) -> int:
-        f1, r1 = divmod(i, n)
-        f2, r2 = divmod(j, n)
-        if f2 == 0:
-            return f1 * n + (r1 + r2) % n
-        return (1 - f1) * n + (r2 - r1) % n
+    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        (f1, k1), (f2, k2) = x, y
+        return f1 ^ f2, (k2 - k1 if f2 else k1 + k2) % n
 
-    # generated by r (index 1) and s (index n); for n = 1 these coincide
-    generators = [(g, tuple(prod(g, j) for j in range(order))) for g in sorted({1, n})]
-    cayley = _rows_by_right_multiplication(order, generators)
     labels = [_power_label("r", k) for k in range(n)]
     labels += ["s" if k == 0 else "s" + _power_label("r", k) for k in range(n)]
-    return FiniteGroup(cayley, labels)
+    return _generated(elements, (0, 0), [(0, 1 % n), (1, 0)], mul, labels)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -359,34 +363,23 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
-    # elements in lexicographic one-line order; product x*y applies y first
+    # one-line permutations in lexicographic order; product x*y applies y first
     perms = list(itertools.permutations(range(n)))
-    position = {p: i for i, p in enumerate(perms)}
-    # generated by (12) and (12...n), whose rows come from composing permutations
-    generators = [
-        (position[s], tuple(position[tuple(map(s.__getitem__, py))] for py in perms))
-        for s in ([(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else [])
-    ]
-    cayley = _rows_by_right_multiplication(len(perms), generators)
+    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []  # (12) and (12...n)
     labels = [_cycle_label(p) for p in perms]
-    return FiniteGroup(cayley, labels)
+    return _generated(perms, perms[0], gens, lambda x, y: tuple(map(x.__getitem__, y)), labels)
 
 
 def _heisenberg_group(p: int) -> FiniteGroup:
-    # upper unitriangular 3x3 matrices over Z_p, encoded as (a, b, c) triples with
-    # (a1, b1, c1)*(a2, b2, c2) = (a1 + a2, b1 + b2 + a1*c2, c1 + c2)
+    # [[1,a,b],[0,1,c],[0,0,1]] over Z_p as the triple (a, b, c), generated by (1,0,0), (0,0,1)
     triples = list(itertools.product(range(p), repeat=3))
 
-    def code(a: int, b: int, c: int) -> int:
-        return ((a % p) * p + b % p) * p + c % p
+    def mul(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+        (a1, b1, c1), (a2, b2, c2) = x, y
+        return (a1 + a2) % p, (b1 + b2 + a1 * c2) % p, (c1 + c2) % p
 
-    generators = [  # (1,0,0) and (0,0,1), at indices p^2 and 1
-        (p * p, tuple(code(a + 1, b + c, c) for a, b, c in triples)),
-        (1, tuple(code(a, b, c + 1) for a, b, c in triples)),
-    ]
-    cayley = _rows_by_right_multiplication(len(triples), generators)
     labels = [f"({a},{b},{c})" for (a, b, c) in triples]
-    return FiniteGroup(cayley, labels)
+    return _generated(triples, (0, 0, 0), [(1, 0, 0), (0, 0, 1)], mul, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +586,13 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 # subgroups
 
 
-def _as_subgroup(G: FiniteGroup, members: list[int]) -> FiniteGroup:
-    """The subgroup on ``members``, a closed subset of G: local index i is ``members[i]``.
+def _as_subgroup(G: FiniteGroup, members: list[int], generators: list[int]) -> FiniteGroup:
+    """The subgroup on ``members``, generated by ``generators``: local index i is ``members[i]``.
 
-    Its table is ``pos[m_i * m_j]``, so the stored ``embedding`` i -> m_i is an injective hom.
+    Its table multiplies as G's does, so the stored ``embedding`` i -> m_i is an injective hom.
     """
-    pos = {g: i for i, g in enumerate(members)}
-    cayley = ([pos[G.cayley[x][y]] for y in members] for x in members)
-    S = FiniteGroup(cayley, [G.labels[g] for g in members])
+    labels = [G.labels[g] for g in members]
+    S = _generated(members, G.identity, generators, lambda x, y: G.cayley[x][y], labels)
     _set(S, "ambient", G)
     _set(S, "embedding", tuple(members))
     return S
@@ -638,4 +630,4 @@ def enumerate_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
                         grown.append(K)
         layer = grown
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [_as_subgroup(G, sorted(s)) for s in ordered]
+    return [_as_subgroup(G, sorted(s), found[s]) for s in ordered]

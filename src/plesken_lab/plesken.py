@@ -131,6 +131,8 @@ def heisenberg_hat_closed_form(p: int, a: int, b: int, c: int) -> list[list[int]
     [[0, 2a, 2b-ac], [0, 0, 2c], [0, 0, 0]] mod p.  The tests check this
     closed form against inverses found by exhaustive search.  Every argument
     is read with ``operator.index``, so the entries are exact integers.
+    ``InvalidPrime`` is raised unless p is an odd prime below psi_13 =
+    3317044064679887385961981, the range where the primality test is exact.
     """
     p, a, b, c = index(p), index(a), index(b), index(c)
     if not _is_odd_prime(p):

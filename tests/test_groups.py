@@ -18,6 +18,7 @@ from plesken_lab import (
     GroupHom,
     IndexOutOfRange,
     InvalidHom,
+    InvalidPrime,
     InvalidSpec,
     ParseError,
     Scalar,
@@ -103,9 +104,21 @@ def test_odd_prime_test_rejects_strong_pseudoprimes(n):
     assert not groups._is_odd_prime(n)
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1, 2**127 - 1])
+@pytest.mark.parametrize("p", [2**61 - 1])
 def test_odd_prime_test_accepts_large_primes(p):
     assert groups._is_odd_prime(p)
+
+
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the 13 bases 2..41
+
+
+@pytest.mark.parametrize("p", [2**89 - 1, 2**127 - 1, PSI_13, PSI_13 + 2])
+def test_odd_prime_test_refuses_what_it_cannot_certify(p):
+    assert PSI_13 == 1287836182261 * 2575672364521
+    message = f"cannot certify {p} as prime: the test is exact only below {PSI_13}"
+    with pytest.raises(InvalidPrime, match=f"^{message}$"):
+        groups._is_odd_prime(p)
+    assert not groups._is_odd_prime(p + 1)  # an even number is no odd prime at any size
 
 
 @pytest.mark.parametrize("kind,param", [
@@ -208,6 +221,35 @@ def test_dihedral_table_matches_reflection_rotation_formula(n):
     )
     rotations = ["e", "r", *(f"r^{k}" for k in range(2, n))][:n]
     assert Dn.labels == (*rotations, "s", *("s" + rot for rot in rotations[1:]))
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 600])
+def test_cyclic_table_is_addition_mod_n(n):
+    Cn = group_from_name(f"C{n}")
+    assert Cn.cayley == tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    assert Cn.labels == ("e", "a", *(f"a^{k}" for k in range(2, n)))[:n]
+
+
+def test_klein4_table_is_xor():
+    K4 = group_from_name("K4")
+    assert K4.cayley == tuple(tuple(x ^ y for y in range(4)) for x in range(4))
+    assert K4.labels == ("e", "a", "b", "c")
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "H3"])
+def test_subgroup_tables_where_the_ambient_identity_is_not_index_0(spec):
+    # a subgroup's rows are grown from the ambient's identity, wherever the table keeps it
+    rng = Random(f"relabel {spec}")
+    for G in [relabelled(group_from_name(spec), rng) for _ in range(2)]:
+        assert G.identity != 0
+        subgroups = enumerate_subgroups(G)
+        assert any(S.identity != 0 for S in subgroups)
+        for S in subgroups:
+            members = sorted(S.embedding)
+            pos = {g: i for i, g in enumerate(members)}
+            assert S.embedding == tuple(members)
+            assert S.cayley == tuple(tuple(pos[G.cayley[x][y]] for y in members) for x in members)
+            assert S.labels == tuple(G.labels[g] for g in members)
 
 
 def test_table_entries_share_one_int_per_value():

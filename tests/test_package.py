@@ -232,3 +232,16 @@ def test_unread_imports_are_found():
 def test_every_module_level_import_is_read(path):
     # each command pays for every import of each module it loads
     assert _unread_imports(path.read_text()) == []
+
+
+def test_pyproject_declares_python_3_10():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'requires-python = ">=3.10"' in pyproject.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(plesken_lab.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_module_parses_as_python_3_10(path):
+    # the grammar of the oldest interpreter pyproject.toml admits
+    ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))

@@ -300,7 +300,8 @@ def test_closed_form_refuses_non_integer_entries(entry):
             heisenberg_hat_closed_form(*args)
 
 
-@pytest.mark.parametrize("p", [2, 4, 9, 1])
+@pytest.mark.parametrize("p", [2, 4, 9, 1, 3317044064679887385961981])
 def test_closed_form_rejects_bad_primes(p):
+    # the last is psi_13, a composite that passes Miller-Rabin on every prime base up to 41
     with pytest.raises(InvalidPrime):
         heisenberg_hat_closed_form(p, 0, 0, 0)
