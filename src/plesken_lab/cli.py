@@ -14,7 +14,7 @@ import os
 import sys
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder exports
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, groupby, islice, repeat
 
 from .errors import InvalidSpec, ParseError, SearchTooLarge
 from .groups import build_group, enumerate_homs
@@ -22,7 +22,7 @@ from .groups import build_group, enumerate_homs
 # Each verb imports what it needs beyond `groups` inside its _run_* function, so
 # `group` and `homs` load no other module, and only `functor` loads `functor`.
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATION = 1
@@ -192,13 +192,14 @@ class _Constants(dict):
 
     Each term c e_m of [e_k, e_l] is the record
     ``{"im":"0","k":k,"l":l,"m":m,"re":"c"}``: schema 6 writes the integer c
-    as the scalar c + 0i.
+    as the scalar c + 0i.  The records of one row k, the brackets [e_k, e_l],
+    are joined by a bare ``,`` on one line (schema 12).
     The records of a pair share their text up to ``"m"``, and each distinct
     term (m, c) is formatted once, so the work per record runs in C.
     """
 
     def text(self, comma: str) -> str:
-        """The records, joined by ``comma``."""
+        """The records, each run of pairs with one k joined by ``,`` and the runs by ``comma``."""
         rows = self.values()
         # `%d` writes 1.5 and True as 1, so every c must be an int; k, l and m are ints by
         # construction, the positions `structure_constants` counts
@@ -206,9 +207,11 @@ class _Constants(dict):
             raise TypeError("cannot write a structure constant that is not an int as JSON")
         prefixes = list(map('{"im":"0","k":%d,"l":%d,'.__mod__, self))
         terms = map(map, repeat(cache('"m":%d,"re":"%d"}'.__mod__)), map(dict.items, rows))
-        # each pair's records, less the prefix of its first
-        pairs = map(str.join, map(comma.__add__, prefixes), terms)
-        return comma.join(map(str.__add__, prefixes, pairs))
+        # each pair's records, the pair's prefix formatted once
+        pairs = map(str.__add__, prefixes, map(str.join, map(",".__add__, prefixes), terms))
+        # the pairs of a row k are consecutive keys, and go on one line
+        runs = (len(list(run)) for _, run in groupby(k for k, _ in self))
+        return comma.join(",".join(islice(pairs, n)) for n in runs)
 
 
 def _json_text(value, newline: str = "\n") -> list[str]:
@@ -218,8 +221,8 @@ def _json_text(value, newline: str = "\n") -> list[str]:
     except that each dict that is an item of a list is on one line, exactly
     ``json.dumps(item, sort_keys=True, separators=(",", ":"))``;
     ``newline=""`` writes all of ``value`` that way.  A ``_Constants`` value
-    is written as its records (``_Constants.text``).  A list is joined into
-    one piece; a dict passes its values' pieces on uncopied.
+    is written as its records, one line per row k (``_Constants.text``).  A
+    list is joined into one piece; a dict passes its values' pieces on uncopied.
 
     Only ``dict`` with ``str`` keys, ``list``, ``_Constants``,
     ``str``, ``int``, ``bool`` and ``None`` are written; any other type,

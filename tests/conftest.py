@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import plesken_lab
-from plesken_lab import group_from_name
+from plesken_lab import build_group
 
 CATALOG_SPECS = ("C2", "C3", "C6", "K4", "S3", "D4", "S4", "H3")
 SMALL_CATALOG_SPECS = ("C2", "C3", "C6", "K4", "S3", "D4")  # orders <= 8
@@ -17,7 +17,7 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(plesken_lab.__file__).parents[1
 
 @pytest.fixture(scope="session")
 def catalog():
-    return {spec: group_from_name(spec) for spec in CATALOG_SPECS}
+    return {spec: build_group(spec) for spec in CATALOG_SPECS}
 
 
 @pytest.fixture(scope="session")

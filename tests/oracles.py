@@ -411,23 +411,33 @@ def equal_lift_pairs(ambient) -> list[tuple[int, int, tuple[int, ...], tuple[int
     return sorted(out)
 
 
-def report_layout(value, indent: str = "") -> str:
-    """The report layout of a JSON value (schema 10 on), from ``json.dumps`` alone.
+def report_layout(value, indent: str = "", key: str | None = None) -> str:
+    """The report layout of a JSON value (schema 12 on), from ``json.dumps`` alone.
 
     ``json.dumps(value, indent=2, sort_keys=True)``, except that each dict
     that is an item of a list is written on one line, as
-    ``json.dumps(item, sort_keys=True, separators=(",", ":"))``.
+    ``json.dumps(item, sort_keys=True, separators=(",", ":"))``, and that the
+    records of the list under the key ``"sc"`` are grouped by their ``"k"``:
+    each run of records with one ``"k"`` shares a line, joined by ``,``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {report_layout(value[k], inner)}" for k in sorted(value)]
+        items = [f"{json.dumps(k)}: {report_layout(value[k], inner, k)}" for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
+        lines = (
+            itertools.groupby(value, lambda r: r["k"])
+            if key == "sc"
+            else ((None, [v]) for v in value)
+        )
         items = [
-            json.dumps(v, sort_keys=True, separators=(",", ":"))
-            if isinstance(v, dict)
-            else report_layout(v, inner)
-            for v in value
+            ",".join(
+                json.dumps(v, sort_keys=True, separators=(",", ":"))
+                if isinstance(v, dict)
+                else report_layout(v, inner)
+                for v in line
+            )
+            for _, line in lines
         ]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     return json.dumps(value)

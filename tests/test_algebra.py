@@ -17,10 +17,10 @@ from plesken_lab import (
     IndexOutOfRange,
     InvalidHom,
     ParseError,
+    build_group,
     convolve,
     element_to_json,
     enumerate_homs,
-    group_from_name,
     identity_hom,
     lie_bracket,
     lift_hom_bar,
@@ -160,8 +160,8 @@ def _terms(draw, order: int = 6):
     return given_pairs, meant
 
 
-S3 = group_from_name("S3")
-S3_HOMS = enumerate_homs(S3, S3) + enumerate_homs(S3, group_from_name("C2"))
+S3 = build_group("S3")
+S3_HOMS = enumerate_homs(S3, S3) + enumerate_homs(S3, build_group("C2"))
 
 
 @given(_terms(), _terms(), st.sampled_from(S3_HOMS))
@@ -422,7 +422,7 @@ def test_random_element_is_seed_deterministic(catalog):
 def test_group_algebra_center_and_derived_dimensions(spec, dims):
     # the Lie algebra of C[G]: its center has dimension k(G), and [C[G], C[G]] has
     # |G| - k(G), with every bracket of two basis elements computed by lie_bracket
-    G = group_from_name(spec)
+    G = build_group(spec)
     n, k = G.order, conjugacy_class_count(G)
     brackets = {}
     for g, h in itertools.product(range(n), repeat=2):

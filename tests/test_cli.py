@@ -22,7 +22,7 @@ import plesken_lab.functor as functor
 import plesken_lab.groups as groups
 import plesken_lab.plesken as plesken
 from plesken_lab import (
-    canonical_basis, element_to_json, group_from_name, lie_bracket, parse_element,
+    build_group, canonical_basis, element_to_json, lie_bracket, parse_element,
     structure_constants, subgroup_category,
 )
 from plesken_lab.cli import _Constants, _json_text, main
@@ -46,7 +46,7 @@ def run_json(capsys, *argv):
 def test_group_command_k4(capsys):
     code, report = run_json(capsys, "group", "K4")
     assert code == 0
-    assert report["schema_version"] == "11"
+    assert report["schema_version"] == "12"
     assert report["command"] == {"verb": "group", "args": {"spec": "K4"}}
     assert report["exit_code"] == 0
     payload = report["payload"]
@@ -86,6 +86,10 @@ def test_plesken_basis_and_sc(capsys):
     assert all(set(e) == {"k", "l", "m", "re", "im"} for e in entries)
 
 
+# the lines of the `sc` block: one per row k with a nonzero bracket [e_k, e_l], l > k
+SC_ROW_LINES = {"S3": 0, "H5": 59, "S5": 46}
+
+
 @pytest.mark.parametrize("spec", (*CATALOG_SPECS, "H5", "S5"))
 def test_sc_records_are_the_structure_constants_in_order(capsys, spec):
     # the records are written through fixed `%` templates: a wrong key order, spacing or
@@ -98,7 +102,7 @@ def test_sc_records_are_the_structure_constants_in_order(capsys, spec):
     layout = (report_layout(report) + "\n").splitlines(keepends=True)
     assert len(lines) == len(layout)
     assert next(((a, b) for a, b in zip(lines, layout) if a != b), None) is None
-    table = structure_constants(canonical_basis(group_from_name(spec)))
+    table = structure_constants(canonical_basis(build_group(spec)))
     sc = report["payload"]["sc"]
     assert sc == [
         {"k": k, "l": l, "m": m, "re": str(c), "im": "0"}
@@ -107,6 +111,12 @@ def test_sc_records_are_the_structure_constants_in_order(capsys, spec):
     ]
     keys = [(r["k"], r["l"], r["m"]) for r in sc]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    # the `sc` block has one line per distinct k, ascending; S3's is `"sc": []`
+    start = out.index('"sc": [')
+    block = out[start : out.index("\n    ]", start)].split("\n")[1:] if sc else []
+    ks = [{r["k"] for r in json.loads("[" + line.removesuffix(",") + "]")} for line in block]
+    assert ks == [{k} for k in sorted({k for k, _ in table})]
+    assert len(block) == SC_ROW_LINES.get(spec, len(block))
 
 
 @pytest.mark.parametrize("c", [1.5, True, Fraction(3, 2)])
@@ -144,7 +154,7 @@ def test_bracket_expression_starting_with_minus_goes_after_double_dash(capsys):
 
 
 def test_bracket_matches_library_oracle(capsys):
-    S3 = group_from_name("S3")
+    S3 = build_group("S3")
     expected = element_to_json(
         lie_bracket(parse_element(S3, "(12)"), parse_element(S3, "(123)"))
     )
@@ -175,7 +185,7 @@ def test_homs_builds_a_group_named_twice_once(capsys, monkeypatch, domain, codom
     code, report = run_json(capsys, "homs", domain, codomain)
     assert code == 0
     assert len(specs) == builds
-    expected = groups.enumerate_homs(group_from_name(domain), group_from_name(codomain))
+    expected = groups.enumerate_homs(build_group(domain), build_group(codomain))
     assert [h["image"] for h in report["payload"]["homs"]] == [list(f.image) for f in expected]
 
 
@@ -307,7 +317,7 @@ def test_counterexample_rows_decode_to_the_library_classes(capsys, spec):
     # the oracle walk of the table turns those images back into the full image table
     code, report = run_json(capsys, "functor", "counterexample", "--ambient", spec)
     assert code == 0
-    category = subgroup_category(group_from_name(spec))
+    category = subgroup_category(build_group(spec))
     rows = report["payload"]["classes"]
     decoded = []
     for row in rows:
@@ -353,7 +363,7 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in report and "payload" not in report
     if argv[0] == "bracket":
         # the parser's message for the first argument that fails, prefixed by its name
-        G = group_from_name(argv[1])
+        G = build_group(argv[1])
         for name, text in zip("xy", argv[2:]):
             try:
                 parse_element(G, text)
@@ -496,7 +506,7 @@ def _expand_to_objects(payload: dict) -> None:
     if "identity_law" in payload:
         ok = {r["table"]: r["ok"] for r in payload["identity_law"]}
         payload["identity_law"] = [{"object": i, "ok": ok[table[i]]} for i in objects]
-        homsets = subgroup_category(group_from_name(payload["ambient"])).homsets
+        homsets = subgroup_category(build_group(payload["ambient"])).homsets
         rows = {(r["source"], r["target"]): r for r in payload["composition_law"]}
         pairs = dict.fromkeys(rows, 0)
         payload["composition_law"] = []
@@ -533,7 +543,7 @@ def _full_image_classes(payload: dict) -> None:
     Each member, written as its images of the source table's generators, is
     looked up by those images in its homset of the ambient's subgroup category.
     """
-    category = subgroup_category(group_from_name(payload["ambient"]))
+    category = subgroup_category(build_group(payload["ambient"]))
     classes = []
     for c in payload["classes"]:
         a, b, gens = c["source"], c["target"], c.pop("generators")
@@ -545,9 +555,9 @@ def _full_image_classes(payload: dict) -> None:
 def _frozen_form(command: str, out: str) -> str:
     """The bytes a frozen hash covers: the report as printed under its frozen schema.
 
-    Schema 11 wrote the composition law once per table pair, schema 10
-    each record with no space after its `,` and `:`,
-    schema 9 each counterexample member as its generator images, schema 8
+    Schema 12 wrote the `sc` records of a row k on one line, schema 11 the
+    composition law once per table pair, schema 10 each record with no
+    space after its `,` and `:`, schema 9 each counterexample member as its generator images, schema 8
     `check`'s object-map block as one verdict, schema 7 the functor records
     once per table, pair or triple, schema 6 dropped the `"format": "json"`
     echo line, schema 5 the `"convention": "literal"` one and checked the
@@ -569,7 +579,7 @@ def _frozen_form(command: str, out: str) -> str:
     if command.startswith("functor "):
         _expand_to_objects(report["payload"])
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tail = '\n  "schema_version": "11"\n}\n'
+    tail = '\n  "schema_version": "12"\n}\n'
     assert out.endswith(tail), command
     digit = "2" if command.startswith(COUNTEREXAMPLE) else "1"
     out = out[: -len(tail)] + f'\n  "schema_version": "{digit}"\n}}\n'
@@ -628,7 +638,13 @@ def test_workload_commands_print_the_frozen_bytes(workload_outputs):
 
 # the stdout bytes of each workload's commands, summed: a layout that writes more fails here
 # before the benchmark's output_mb reads it
-WORKLOAD_STDOUT_BYTES = {"startup_groups": 109_378, "lie_sc": 2_904_057, "functor_laws": 47_119}
+WORKLOAD_STDOUT_BYTES = {"startup_groups": 109_378, "lie_sc": 2_494_697, "functor_laws": 47_119}
+# and of each `sc` command, so that a failure names the command that moved
+SC_STDOUT_BYTES = {
+    "plesken H7 sc": 2_107_986,
+    "plesken H5 sc": 248_178,
+    "plesken S5 sc": 138_533,
+}
 
 
 def test_workload_report_sizes_are_frozen(workload_outputs):
@@ -637,6 +653,8 @@ def test_workload_report_sizes_are_frozen(workload_outputs):
         for name, runs in workload_outputs.items()
     }
     assert sizes == WORKLOAD_STDOUT_BYTES
+    written = {key: len(out.encode()) for key, (_, out) in workload_outputs["lie_sc"].items()}
+    assert written == SC_STDOUT_BYTES
 
 
 # stdout sha256 of functor commands: `check` frozen under schema 1 before homsets shared
@@ -666,7 +684,7 @@ def test_functor_commands_print_the_frozen_bytes(capsys, command):
 
 @pytest.mark.parametrize("argv,read_first", [
     (("group", "C2"), 0),  # stdout closed before the child writes: the flush fails
-    (("plesken", "H5", "sc"), 100),  # 630 kB, more than a pipe holds: a write fails
+    (("plesken", "H5", "sc"), 100),  # 248 kB, more than a pipe holds: a write fails
 ])
 def test_broken_pipe_exits_141_without_a_traceback(argv, read_first):
     env = dict(CHILD_ENV)
@@ -732,7 +750,7 @@ def test_traced_functor_replay(capsys):
     after = _package_functions()
     assert code == 0 and json.loads(out)["payload"]["all_hold"]
     assert tracer.calls["functor.subgroup_category"] == 1
-    category = subgroup_category(group_from_name("S3"))
+    category = subgroup_category(build_group("S3"))
     assert tracer.morphisms == sum(map(len, category.homsets.values())) == 34  # per table pair
     assert all(after[key] is value for key, value in before.items())
 
@@ -753,7 +771,10 @@ def _written(value) -> str:
 _odd_strings = st.sampled_from(
     ["", "\"", "\\", "\x00\x1f\x7f", "\n\t", "\u03a33", "\U0001f600", "\ud800", "\u2028"]
 )
-_keys = st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", "%d"])
+# the oracle groups a list under "sc" by rows k, which the writer does for a `_Constants` only
+_keys = (st.text() | _odd_strings | st.sampled_from(["%", "%s", "%%", "a%(x)sb", "%d"])).filter(
+    lambda key: key != "sc"
+)
 
 
 def _records(children):
@@ -804,22 +825,28 @@ _sc_tables = st.dictionaries(
     st.tuples(st.integers(0, 9999), st.integers(0, 9999)).filter(lambda kl: kl[0] < kl[1]),
     st.dictionaries(st.integers(0, 9999), st.sampled_from([-2, -1, 1, 2]), min_size=1),
 )
-_SC_COMMA = ",\n    "  # between the records of a report's `sc` list
+_SC_COMMA = ",\n      "  # between the lines of a report's `sc` list
 
 
-@given(_sc_tables)
+@given(_sc_tables.map(lambda table: dict(sorted(table.items()))))
 @example({})
-@example({(0, 4): {5: 1, 6: -1}, (12, 345): {6789: -2}, (3, 7): {0: 2}})
+@example({(0, 4): {5: 1, 6: -1}, (0, 9): {2: 2}, (3, 7): {0: 2}, (12, 345): {6789: -2}})
 def test_constants_write_each_record_as_compact_json_in_table_order(table):
+    # a table in (k, l) order, as `structure_constants` returns it
     text = _Constants(table).text(_SC_COMMA)
-    written = text.split(_SC_COMMA) if text else []
+    lines = text.split(_SC_COMMA) if text else []
     records = [
         {"im": "0", "k": k, "l": l, "m": m, "re": str(c)}
         for (k, l), row in table.items()
         for m, c in row.items()
     ]
-    assert written == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    assert [json.loads(line) for line in written] == records
+    rows = [json.loads("[" + line + "]") for line in lines]
+    assert [{r["k"] for r in row} for row in rows] == [{k} for k in sorted({k for k, _ in table})]
+    assert lines == [
+        ",".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in row)
+        for row in rows
+    ]
+    assert json.loads("[" + text.replace("\n", "") + "]") == records
 
 
 _NOT_INTS = st.sampled_from([True, False, 1.0, -2.0, Fraction(3, 2), Fraction(2)])

@@ -11,6 +11,7 @@ import plesken_lab.groups as groups
 from plesken_lab import (
     AlgebraElement,
     SubgroupCategory,
+    build_group,
     canonical_basis,
     check_full,
     check_functor_laws,
@@ -18,7 +19,6 @@ from plesken_lab import (
     enumerate_homs,
     enumerate_subgroups,
     find_faithfulness_counterexample,
-    group_from_name,
     identity_hom,
     lift_hom_bar,
     lift_hom_hat,
@@ -137,7 +137,7 @@ def test_subgroup_category_invariants(catalog):
 
 @pytest.mark.parametrize("spec", ["C3", "K4", "S3", "D4", "D6", "S4", "H3"])
 def test_functor_laws_hold(catalog, spec):
-    G = catalog[spec] if spec in catalog else group_from_name(spec)
+    G = catalog[spec] if spec in catalog else build_group(spec)
     report = check_functor_laws(subgroup_category(G))
     assert report.all_hold
     assert all(r.ok for r in report.identity)
@@ -339,7 +339,7 @@ def test_equal_table_objects_share_a_corrupted_lift(catalog, monkeypatch, capsys
 def test_odd_order_ambients_are_faithful(spec):
     # in an odd-order group only the identity is an involution, so g - g^-1 is zero only
     # for g = e and fixes g otherwise: a hat lift fixes its hom, and distinct homs differ
-    G = group_from_name(spec)
+    G = build_group(spec)
     assert G.involution_count() == 1
     assert find_faithfulness_counterexample(subgroup_category(G)) == []
 
@@ -369,7 +369,7 @@ def test_heisenberg_category_matches_the_closed_forms(catalog):
 def test_heisenberg_category_at_p5_matches_the_closed_forms(monkeypatch):
     # the paper's example at p = 5: H5 has order 125, above the CLI's subgroup limit
     monkeypatch.setattr(groups, "SUBGROUP_ORDER_LIMIT", 125)
-    C = subgroup_category(group_from_name("H5"))
+    C = subgroup_category(build_group("H5"))
     _check_heisenberg_closed_forms(C, 5)
     orders = [obj.order for obj in C.objects]
     assert {n: orders.count(n) for n in set(orders)} == {1: 1, 5: 31, 25: 6, 125: 1}
@@ -381,7 +381,7 @@ def test_heisenberg_closed_forms_at_p7(monkeypatch):
     # the paper's example at p = 7, without H7 itself as a source or target: Hom(H7, .)
     # adds about 1.9 s, and Hom(C7^2, H7) alone holds 18,865 homs
     monkeypatch.setattr(groups, "SUBGROUP_ORDER_LIMIT", 343)
-    subgroups = enumerate_subgroups(group_from_name("H7"))
+    subgroups = enumerate_subgroups(build_group("H7"))
     orders = [S.order for S in subgroups]
     assert {n: orders.count(n) for n in set(orders)} == heisenberg_subgroup_counts(7) == {
         1: 1, 7: 57, 49: 8, 343: 1
@@ -462,7 +462,7 @@ def test_classes_expand_to_the_equal_lift_pairs(spec):
     # each class of a table pair is a class on every object pair on those tables; two
     # members of one class are a pair the oracle finds, and every such pair is in a
     # class: a merged class adds pairs, a dropped member loses them
-    G = group_from_name(spec)
+    G = build_group(spec)
     C = subgroup_category(G)
     classes = find_faithfulness_counterexample(C)
     per_objects = [

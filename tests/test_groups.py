@@ -28,7 +28,6 @@ from plesken_lab import (
     compose_homs,
     enumerate_homs,
     enumerate_subgroups,
-    group_from_name,
     identity_hom,
     lift_hom_hat,
     trivial_hom,
@@ -172,7 +171,7 @@ def test_klein4_is_elementary_abelian(catalog):
 
 
 def test_heisenberg_order_is_p_cubed():
-    H3 = group_from_name("H3")
+    H3 = build_group("H3")
     assert H3.order == 27
     assert len(set(itertools.product(range(3), repeat=3))) == 27
     assert H3.labels[H3.identity] == "(0,0,0)"
@@ -180,14 +179,14 @@ def test_heisenberg_order_is_p_cubed():
 
 def test_symmetric_group_composition_matches_permutation_oracle():
     for n in range(1, 6):
-        Sn = group_from_name(f"S{n}")
+        Sn = build_group(f"S{n}")
         perms = list(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         assert Sn.cayley == tuple(
             tuple(index[compose_permutations(px, py)] for py in perms) for px in perms
         ), n
         assert Sn.labels == tuple(groups._cycle_label(p) for p in perms), n
-    S3 = group_from_name("S3")
+    S3 = build_group("S3")
     # (12) after (123) is (23)
     twelve = S3.label_index["(12)"]
     cycle = S3.label_index["(123)"]
@@ -196,7 +195,7 @@ def test_symmetric_group_composition_matches_permutation_oracle():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_heisenberg_table_matches_matrix_product_formula(p):
-    Hp = group_from_name(f"H{p}")
+    Hp = build_group(f"H{p}")
     triples = list(itertools.product(range(p), repeat=3))
     index = {t: i for i, t in enumerate(triples)}
     assert Hp.cayley == tuple(
@@ -212,7 +211,7 @@ def test_heisenberg_table_matches_matrix_product_formula(p):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dihedral_table_matches_reflection_rotation_formula(n):
     # s^f1 r^k1 * s^f2 r^k2 = s^(f1+f2) r^((-1)^f2 k1 + k2), from s r s = r^-1
-    Dn = group_from_name(f"D{n}")
+    Dn = build_group(f"D{n}")
     elements = [(f, k) for f in range(2) for k in range(n)]
     index = {x: i for i, x in enumerate(elements)}
     assert Dn.cayley == tuple(
@@ -225,13 +224,13 @@ def test_dihedral_table_matches_reflection_rotation_formula(n):
 
 @pytest.mark.parametrize("n", [*range(1, 14), 600])
 def test_cyclic_table_is_addition_mod_n(n):
-    Cn = group_from_name(f"C{n}")
+    Cn = build_group(f"C{n}")
     assert Cn.cayley == tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
     assert Cn.labels == ("e", "a", *(f"a^{k}" for k in range(2, n)))[:n]
 
 
 def test_klein4_table_is_xor():
-    K4 = group_from_name("K4")
+    K4 = build_group("K4")
     assert K4.cayley == tuple(tuple(x ^ y for y in range(4)) for x in range(4))
     assert K4.labels == ("e", "a", "b", "c")
 
@@ -240,7 +239,7 @@ def test_klein4_table_is_xor():
 def test_subgroup_tables_where_the_ambient_identity_is_not_index_0(spec):
     # a subgroup's rows are grown from the ambient's identity, wherever the table keeps it
     rng = Random(f"relabel {spec}")
-    for G in [relabelled(group_from_name(spec), rng) for _ in range(2)]:
+    for G in [relabelled(build_group(spec), rng) for _ in range(2)]:
         assert G.identity != 0
         subgroups = enumerate_subgroups(G)
         assert any(S.identity != 0 for S in subgroups)
@@ -253,12 +252,12 @@ def test_subgroup_tables_where_the_ambient_identity_is_not_index_0(spec):
 
 
 def test_table_entries_share_one_int_per_value():
-    C600 = group_from_name("C600")
+    C600 = build_group("C600")
     assert len({id(v) for row in C600.cayley for v in row}) == 600
 
 
 def test_heisenberg_inverse_by_matrix_formula():
-    H5 = group_from_name("H5")
+    H5 = build_group("H5")
     x = H5.label_index["(1,0,1)"]
     assert H5.labels[H5.inv[x]] == "(4,1,4)"
 
@@ -313,7 +312,7 @@ def test_validate_hom(catalog):
     ("C6", "K4"), ("D4", "C2"), ("K4", "K4"), ("S3", "S3"),
 ])
 def test_validate_hom_agrees_with_every_pair_check(catalog, small_catalog, dom, cod):
-    G = catalog[dom] if dom in catalog else group_from_name(dom)
+    G = catalog[dom] if dom in catalog else build_group(dom)
     H = catalog[cod]
     homs = set(all_hom_tables(G, H))
     for image in itertools.product(range(H.order), repeat=G.order):
@@ -372,7 +371,7 @@ def test_group_hom_refuses_a_map_that_agrees_on_the_generators(catalog):
     with pytest.raises(InvalidHom, match="not a group homomorphism"):
         GroupHom(S3, S3, image)
     # the trivial group has no generators: a map of it must still send e to e
-    C1 = group_from_name("C1")
+    C1 = build_group("C1")
     assert not C1.generators
     with pytest.raises(InvalidHom, match="not a group homomorphism"):
         GroupHom(C1, S3, ((S3.identity + 1) % S3.order,))
@@ -403,7 +402,7 @@ def _orders_by_powers(G: FiniteGroup) -> list[int]:
 
 @pytest.mark.parametrize("spec", ["C1", "C12", "K4", "S3", "D4", "D6", "S4", "H3"])
 def test_element_orders_match_repeated_multiplication(spec):
-    G = group_from_name(spec)
+    G = build_group(spec)
     assert groups._element_orders(G) == _orders_by_powers(G)
 
 
@@ -421,7 +420,7 @@ PRUNED_PAIRS = {
     ("C4", "C6"), ("C1", "S3"), ("S3", "C1"),
 ])
 def test_enumerate_homs_exhaustive_against_map_search(catalog, dom, cod):
-    G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
+    G, H = (catalog.get(spec) or build_group(spec) for spec in (dom, cod))
     orders_G, orders_H = _orders_by_powers(G), _orders_by_powers(H)
     pruned = any(orders_G[g] % orders_H[h] for g in G.generators for h in range(H.order))
     assert pruned == ((dom, cod) in PRUNED_PAIRS)
@@ -450,7 +449,7 @@ def _count_hom_checks(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("dom,cod", sorted(PAIR_PRUNED))
 def test_generator_pair_check_skips_tuples_and_keeps_every_hom(catalog, monkeypatch, dom, cod):
-    G, H = (catalog.get(spec) or group_from_name(spec) for spec in (dom, cod))
+    G, H = (catalog.get(spec) or build_group(spec) for spec in (dom, cod))
     calls = _count_hom_checks(monkeypatch)
     found = {f.image for f in enumerate_homs(G, H)}
     assert found == set(all_hom_tables(G, H))
@@ -460,7 +459,7 @@ def test_generator_pair_check_skips_tuples_and_keeps_every_hom(catalog, monkeypa
 
 def test_generator_pair_check_bounds_the_s5_search(monkeypatch):
     # the order check alone leaves 1,716 tuples to fill and check
-    S5 = group_from_name("S5")
+    S5 = build_group("S5")
     calls = _count_hom_checks(monkeypatch)
     assert len(enumerate_homs(S5, S5)) == 146
     assert calls[0] <= 386
@@ -468,7 +467,7 @@ def test_generator_pair_check_bounds_the_s5_search(monkeypatch):
 
 def test_s5_endomorphism_count():
     # 1 trivial, 25 through the sign map onto the 25 involutions, 120 automorphisms
-    S5 = group_from_name("S5")
+    S5 = build_group("S5")
     homs = enumerate_homs(S5, S5)
     assert len(homs) == 146
     assert sum(len(set(f.image)) == 2 for f in homs) == 25
@@ -480,7 +479,7 @@ def test_s5_endomorphism_count():
 ])
 def test_stored_generating_sets(spec, gens):
     # the greedy choice fixes the HOM_SEARCH_LIMIT outcome of every hom search
-    assert list(group_from_name(spec).generators) == gens
+    assert list(build_group(spec).generators) == gens
 
 
 GENERATOR_SPECS = (
@@ -490,13 +489,13 @@ GENERATOR_SPECS = (
 
 @pytest.mark.parametrize("spec", GENERATOR_SPECS)
 def test_generating_set_matches_the_unpruned_greedy_reference(spec):
-    G = group_from_name(spec)
+    G = build_group(spec)
     assert list(G.generators) == greedy_generators(G.cayley)
 
 
 @pytest.mark.parametrize("spec", ["S4", "D6", "H3", "C12", "S3"])
 def test_generating_set_matches_the_reference_on_relabelled_tables_and_subgroups(spec):
-    G = group_from_name(spec)
+    G = build_group(spec)
     n, rng = G.order, Random(f"generators {spec}")
     tables = []
     for _ in range(5):
@@ -510,7 +509,7 @@ def test_generating_set_matches_the_reference_on_relabelled_tables_and_subgroups
 @pytest.mark.parametrize("spec,closures", [("S6", 312), ("H7", 59), ("S5", 58)])
 def test_generating_set_skips_elements_inside_a_closure_already_tried(monkeypatch, spec, closures):
     # the unpruned greedy search computes 840, 385 and 123 closures on these groups
-    G = group_from_name(spec)
+    G = build_group(spec)
     calls = [0]
     closure = groups.closure
 
@@ -543,7 +542,7 @@ def test_hom_search_guard(catalog, monkeypatch):
 ])
 def test_hom_search_guard_counts_table_entries_not_choices(monkeypatch, spec, entries):
     # each has fewer than 10**7 choices of generator images, so a guard on choices admits it
-    G = group_from_name(spec)
+    G = build_group(spec)
     assert entries // G.order < 10**7 < groups.HOM_SEARCH_LIMIT < entries
     monkeypatch.setattr(groups, "_is_hom", None)  # a search past the guard fails at once
     with pytest.raises(SearchTooLarge, match=f" fills {entries} table entries "):
@@ -588,14 +587,14 @@ def test_subgroups_are_closed_and_embedded(catalog):
 
 @pytest.mark.parametrize("spec", ["C2", "C3", "C6", "K4", "S3", "D4", "C12", "D6"])
 def test_subgroups_match_full_subset_closure(spec):
-    G = group_from_name(spec)
+    G = build_group(spec)
     assert G.order <= 12
     found = {frozenset(S.embedding) for S in enumerate_subgroups(G)}
     assert found == all_subgroup_sets(G)
 
 
 def _product(*specs: str) -> FiniteGroup:
-    tables = [group_from_name(spec).cayley for spec in specs]
+    tables = [build_group(spec).cayley for spec in specs]
     table = tables[0]
     for other in tables[1:]:
         table = direct_product_table(table, other)
@@ -617,7 +616,7 @@ def test_subgroups_of_products_match_full_subset_closure(specs, count):
 def test_group_order_guard(monkeypatch):
     monkeypatch.setattr(groups, "GROUP_ORDER_LIMIT", 6)
     for spec in ("C6", "D3", "S3", "K4"):
-        assert group_from_name(spec).order <= 6
+        assert build_group(spec).order <= 6
     for spec, order in (("C7", "7"), ("D4", "2*4"), ("S4", "4!"), ("H3", "3^3")):
         with pytest.raises(SearchTooLarge, match=rf"^group {spec} has order {re.escape(order)},"):
             build_group(spec)
@@ -630,7 +629,7 @@ def test_group_order_guard(monkeypatch):
 
 
 def test_subgroup_order_guard():
-    D33 = group_from_name("D33")
+    D33 = build_group("D33")
     assert D33.order == 66
     pattern = r"^subgroup enumeration of FiniteGroup\(D33\) needs order <= 64, got 66$"
     with pytest.raises(SearchTooLarge, match=pattern):
@@ -706,7 +705,7 @@ def _tables_to_classify(rng: Random):
     for n in (1, 2, 3):
         for entries in itertools.product(range(n), repeat=n * n):
             yield [list(entries[i : i + n]) for i in range(0, n * n, n)]
-    groups_4_to_8 = [group_from_name(s) for s in ("C4", "K4", "C5", "S3", "C6", "C7", "D4", "C8")]
+    groups_4_to_8 = [build_group(s) for s in ("C4", "K4", "C5", "S3", "C6", "C7", "D4", "C8")]
     for _ in range(200):
         n = rng.randint(4, 8)
         yield [rng.sample(range(n), n) for _ in range(n)]
@@ -743,10 +742,10 @@ def test_table_check_agrees_with_brute_force_axioms():
 
 @pytest.mark.parametrize("spec", ["C512", "D256", "H7", "S6"])
 def test_built_group_holds_one_table_at_peak(spec):
-    group_from_name("C2")  # any one-time allocations of the first build
+    build_group("C2")  # any one-time allocations of the first build
     tracemalloc.start()
     try:
-        G = group_from_name(spec)
+        G = build_group(spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -781,7 +780,7 @@ def test_every_subgroup_is_embedded_pairwise(catalog):
     # tables of test_invariance
     ambients = list(catalog.values())
     for spec in ("S3", "D4", "S4", "H3", "D6"):
-        G, rng = group_from_name(spec), Random(f"relabel {spec}")
+        G, rng = build_group(spec), Random(f"relabel {spec}")
         ambients += [relabelled(G, rng) for _ in range(2)]
     for G in ambients:
         for S in enumerate_subgroups(G):

@@ -15,11 +15,11 @@ import pytest
 
 from plesken_lab import (
     FiniteGroup,
+    build_group,
     canonical_basis,
     check_full,
     check_functor_laws,
     find_faithfulness_counterexample,
-    group_from_name,
     structure_constants,
     subgroup_category,
 )
@@ -65,14 +65,14 @@ def relabelled(G: FiniteGroup, rng: Random) -> FiniteGroup:
 def group(spec: str) -> FiniteGroup:
     """A built-in group, or the product of two built-ins written ``AxB``."""
     if "x" not in spec:
-        return group_from_name(spec)
-    a, b = (group_from_name(s).cayley for s in spec.split("x"))
+        return build_group(spec)
+    a, b = (build_group(s).cayley for s in spec.split("x"))
     return FiniteGroup(direct_product_table(a, b))
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "S4", "H3", "D6"])
 def test_relabelled_tables_give_the_same_invariants(spec):
-    G = group_from_name(spec)
+    G = build_group(spec)
     expected = invariants(G)
     assert expected["all_hold"]
     rng = Random(f"relabel {spec}")
@@ -91,6 +91,6 @@ def test_isomorphic_groups_give_the_same_invariants(first, second):
 
 def test_non_isomorphic_groups_of_one_order_differ():
     # the summary can tell groups apart: S3 and C6 differ in their subgroups and homs
-    s3, c6 = invariants(group_from_name("S3")), invariants(group_from_name("C6"))
+    s3, c6 = invariants(build_group("S3")), invariants(build_group("C6"))
     assert s3["objects_per_order"] != c6["objects_per_order"]
     assert s3["homset_sizes"] != c6["homset_sizes"]

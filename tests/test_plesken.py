@@ -9,9 +9,9 @@ from plesken_lab import (
     GroupMismatch,
     IndexOutOfRange,
     InvalidPrime,
+    build_group,
     canonical_basis,
     enumerate_homs,
-    group_from_name,
     hat,
     heisenberg_hat_closed_form,
     identity_hom,
@@ -229,7 +229,7 @@ def test_hat_lift_preserves_brackets(catalog, small_catalog):
 @pytest.mark.parametrize("spec", ["S4", "H3", "H5"])
 def test_structure_constants_are_stored_in_ascending_order(spec):
     # `plesken sc` writes its rows in the table's own order: (k, l) ascending, then m
-    table = structure_constants(canonical_basis(group_from_name(spec)))
+    table = structure_constants(canonical_basis(build_group(spec)))
     assert list(table) == sorted(table)
     assert all(list(row) == sorted(row) for row in table.values())
 
@@ -254,13 +254,13 @@ def test_hat_lift_action_matches_pushed_hats(small_catalog):
 
 @pytest.mark.parametrize("spec", ["S3", "S4", "D6", "H3", "C6", "K4", "S5", "H5"])
 def test_structure_constants_give_the_cohen_taylor_dimensions(spec):
-    basis = canonical_basis(group_from_name(spec))
+    basis = canonical_basis(build_group(spec))
     table = structure_constants(basis)
     assert center_and_derived_dims(table, basis.dimension) == cohen_taylor_dims(spec)
 
 
 def test_cohen_taylor_dimensions_catch_every_one_entry_sign_flip():
-    basis = canonical_basis(group_from_name("S4"))
+    basis = canonical_basis(build_group("S4"))
     table = structure_constants(basis)
     predicted = cohen_taylor_dims("S4")
     flips = 0

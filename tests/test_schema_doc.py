@@ -41,16 +41,21 @@ def test_envelope_example_names_the_schema_version():
 
 def test_example_records_are_in_the_written_layout():
     # a record is an object that is an item of an array: the CLI writes each on a line
-    # of its own, with no space after its `,` and `:`
+    # of its own, or an `sc` row's records on one line joined by `,`, with no space after
+    # a record's `,` and `:`
     lines = [line.strip() for block in json_texts(SCHEMA) for line in block.splitlines()]
     assert not [line for line in lines if "[{" in line]  # a record after its key
-    records = [
+    record_lines = [
         line.removesuffix(",") for line in lines
         if line.startswith("{") and line.removesuffix(",").endswith("}")
     ]
-    assert len(records) >= 10
-    for record in records:
-        assert record == json.dumps(json.loads(record), sort_keys=True, separators=(",", ":"))
+    assert len(record_lines) >= 10
+    for line in record_lines:
+        records = json.loads("[" + line + "]")
+        assert line == ",".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
+        )
+        assert len(records) == 1 or len({r["k"] for r in records}) == 1
 
 
 def test_functor_examples_carry_the_keys_the_cli_writes():
